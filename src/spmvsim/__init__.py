@@ -23,6 +23,7 @@ from .layout import (
     extract_local,
 )
 from .collectives import (
+    MAX_RANKS,
     CollectiveEngine,
     CollectiveError,
     CollectiveMismatch,
@@ -58,6 +59,7 @@ from .fixture_io import (
     export_matrix_market,
     import_matrix_market,
     read_fixture,
+    validate_fixture,
     write_fixture,
 )
 from .verify import (
@@ -75,7 +77,7 @@ __all__ = [
     "spmv_dense_oracle", "spmv_seq", "validate_csr",
     "Layout", "LayoutSumMismatch", "block_local_size", "build_layout",
     "extract_local",
-    "CollectiveEngine", "CollectiveError", "CollectiveMismatch",
+    "MAX_RANKS", "CollectiveEngine", "CollectiveError", "CollectiveMismatch",
     "CollectiveTrace", "CountMismatch", "OverlappingDisplacement",
     "RankContext", "TraceRecord", "UnequalBlockLength", "run_ranks",
     "RESIDUAL_TOLERANCE", "DistRunReport", "GatherPath", "check_pass",
@@ -84,7 +86,7 @@ __all__ = [
     "reference_fixture",
     "FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
     "companion_x_path", "export_matrix_market", "import_matrix_market",
-    "read_fixture", "write_fixture",
+    "read_fixture", "validate_fixture", "write_fixture",
     "CheckResult", "VerificationReport", "verify_distributed",
     "verify_sequential",
     "__version__",

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .collectives import CollectiveError
+from .collectives import MAX_RANKS, CollectiveError
 from .core import residual_sq, spmv_seq
 from .distributed import check_pass, run_distributed
 from .fixture_io import (FixtureFormatError, FixtureValidationError,
@@ -74,8 +74,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.ranks < 1:
-        print(f"error: --ranks must be >= 1, got {args.ranks}", file=sys.stderr)
+    if not 1 <= args.ranks <= MAX_RANKS:
+        print(f"error: --ranks must be in 1..{MAX_RANKS}, got {args.ranks}",
+              file=sys.stderr)
         return 2
     # the run itself is the judge of the stored product, so load without
     # the reader's own ground-truth check
@@ -101,8 +102,8 @@ def cmd_verify(args) -> int:
     explicit_rows = _parse_int_list(args.row_sizes) if args.row_sizes else None
     explicit_cols = _parse_int_list(args.col_sizes) if args.col_sizes else None
     ranks = _parse_int_list(args.ranks_list)
-    if not ranks or any(k < 1 for k in ranks):
-        print(f"error: --ranks-list must name counts >= 1, got "
+    if not ranks or any(not 1 <= k <= MAX_RANKS for k in ranks):
+        print(f"error: --ranks-list must name counts in 1..{MAX_RANKS}, got "
               f"{args.ranks_list!r}", file=sys.stderr)
         return 2
     sections = [("sequential", verify_sequential(fixture))]
@@ -208,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="companion x file for Matrix Market input")
     conv.add_argument("--x-seed", type=int, default=0,
                       help="seed for generating x when no companion exists")
-    conv.add_argument("--derive-z", action="store_true",
-                      help="recompute z from the matrix and x on import "
-                           "(always on; flag kept for explicitness)")
     conv.set_defaults(func=cmd_convert)
     return parser
 

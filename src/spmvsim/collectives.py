@@ -21,6 +21,7 @@ counts or displacements in allgatherv.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import threading
 import time
@@ -29,6 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "MAX_RANKS",
+    "exclusive_prefix_sums",
     "CollectiveError",
     "CollectiveMismatch",
     "UnequalBlockLength",
@@ -40,6 +43,16 @@ __all__ = [
     "CollectiveEngine",
     "run_ranks",
 ]
+
+
+# each simulated rank is an OS thread; engines refuse more before starting any
+MAX_RANKS = 64
+
+
+def exclusive_prefix_sums(values) -> list:
+    """[0, v0, v0 + v1, ...] without the grand total: exscan_sum's result,
+    a layout's block starts, and the displacements allgatherv accepts."""
+    return list(itertools.accumulate(values, initial=0))[:-1]
 
 
 class CollectiveError(RuntimeError):
@@ -120,15 +133,6 @@ class _Generation:
         self.done = True
 
 
-def _reduce_exscan_sum(payloads: list) -> list:
-    out = []
-    acc = 0
-    for v in payloads:
-        out.append(acc)
-        acc += v
-    return out
-
-
 def _reduce_allreduce_sum(payloads: list) -> list:
     acc = 0.0
     for v in payloads:
@@ -168,8 +172,8 @@ class CollectiveEngine:
 
     def __init__(self, size: int, *, mode: str = "parallel",
                  record_trace: bool = False, timeout: float = 60.0):
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
+        if not 1 <= size <= MAX_RANKS:
+            raise ValueError(f"size must be in 1..{MAX_RANKS}, got {size}")
         if mode not in ("parallel", "serial"):
             raise ValueError(f"mode must be 'parallel' or 'serial', got {mode!r}")
         self.size = size
@@ -355,7 +359,7 @@ class RankContext:
         """Exclusive prefix sum over ranks; rank 0 receives 0."""
         contribution = operator.index(value)
         return self._engine._collective(
-            self.rank, "exscan_sum", contribution, 1, _reduce_exscan_sum)
+            self.rank, "exscan_sum", contribution, 1, exclusive_prefix_sums)
 
     def allgather(self, block) -> np.ndarray:
         """Concatenate equal-length blocks in rank order; all ranks get all."""
@@ -387,11 +391,7 @@ class RankContext:
             raise CountMismatch(
                 f"rank {self.rank} block has {len(arr)} entries but "
                 f"counts[{self.rank}] = {counts_t[self.rank]}")
-        expected = []
-        acc = 0
-        for c in counts_t:
-            expected.append(acc)
-            acc += c
+        expected = exclusive_prefix_sums(counts_t)
         if displs_t != tuple(expected):
             raise OverlappingDisplacement(
                 f"displacements {list(displs_t)} are not the exclusive "

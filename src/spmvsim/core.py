@@ -117,6 +117,7 @@ class ValidationReport:
 
     ok: bool
     violations: list[str] = field(default_factory=list)
+    duplicate_cell: tuple[int, int] | None = None
 
 
 def validate_csr(mat: CsrMatrix) -> ValidationReport:
@@ -124,7 +125,9 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
 
     Checks: row pointer length, zero start, monotonicity, agreement of
     row_ptr[m] with the stored entry count, column indices within [0, N),
-    and local block placement within the global extents.
+    local block placement within the global extents and, once all of those
+    hold, no cell stored twice; the lowest such (row, column) is returned
+    as duplicate_cell.
     """
     v: list[str] = []
     rp, cj, av = mat.row_ptr, mat.col_idx, mat.values
@@ -153,7 +156,16 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
         v.append(f"row block [{mat.rstart}, {mat.rstart + mat.m}) outside [0, {mat.M})")
     if not (0 <= mat.cstart and mat.cstart + mat.n <= mat.N):
         v.append(f"column block [{mat.cstart}, {mat.cstart + mat.n}) outside [0, {mat.N})")
-    return ValidationReport(ok=not v, violations=v)
+    duplicate = None
+    if not v:
+        # sorted row-major cell keys sit side by side exactly when repeated
+        rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(rp))
+        keys = np.sort(rows * mat.N + cj)
+        repeats = np.nonzero(keys[1:] == keys[:-1])[0]
+        if len(repeats):
+            duplicate = divmod(int(keys[repeats[0]]), mat.N)
+            v.append(f"duplicate cell {duplicate} stored more than once")
+    return ValidationReport(ok=not v, violations=v, duplicate_cell=duplicate)
 
 
 def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
@@ -201,19 +213,11 @@ def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
     """
     report = validate_csr(mat)
     if not report.ok:
-        raise ValueError("invalid CSR: " + report.violations[0])
-    rp = mat.row_ptr.tolist()
-    cj = mat.col_idx.tolist()
-    av = mat.values.tolist()
+        error = DuplicateEntry if report.duplicate_cell else ValueError
+        raise error("invalid CSR: " + report.violations[0])
+    rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
     dense = np.zeros((mat.m, mat.N), dtype=np.float64)
-    filled = np.zeros((mat.m, mat.N), dtype=bool)
-    for i in range(mat.m):
-        for p in range(rp[i], rp[i + 1]):
-            j = cj[p]
-            if filled[i, j]:
-                raise DuplicateEntry(f"cell ({i}, {j}) stored more than once")
-            filled[i, j] = True
-            dense[i, j] = av[p]
+    dense[rows, mat.col_idx] = mat.values
     return DenseMatrix(m=mat.m, n=mat.N, values=dense)
 
 

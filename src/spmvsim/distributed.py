@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collectives import CollectiveEngine, CollectiveTrace, RankContext
+from .collectives import (CollectiveEngine, CollectiveTrace, RankContext,
+                          exclusive_prefix_sums)
 from .core import DenseVector, residual_sq, spmv_seq
 from .fixtures import Fixture
 from .layout import Layout, build_layout, extract_local
@@ -64,12 +65,8 @@ def _gather_x_with_path(ctx: RankContext, local_x: np.ndarray,
         if col_layout.total % ctx.size == 0:
             return ctx.allgather(local_x), GatherPath.EQUAL_BLOCKS
         counts = ctx.allgather(np.array([n], dtype=np.int64))
-    displs = []
-    acc = 0
-    for c in counts.tolist():
-        displs.append(acc)
-        acc += int(c)
-    full = ctx.allgatherv(local_x, counts.tolist(), displs)
+    counts = counts.tolist()
+    full = ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
     return full, GatherPath.UNEVEN_BLOCKS
 
 
@@ -95,8 +92,8 @@ def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     the residual against the fixture's known product, and the gather path
     actually taken.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    # the engine checks size before the layouts are sized by it
+    engine = CollectiveEngine(size, mode=mode, record_trace=record_trace)
     row_layout = build_layout(fixture.M, size, explicit_row_sizes)
     col_layout = build_layout(fixture.N, size, explicit_col_sizes)
     gi, gj, ga = fixture.row_ptr, fixture.col_idx, fixture.values
@@ -107,9 +104,6 @@ def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         n = col_layout.local_sizes[ctx.rank]
         rstart = ctx.exscan_sum(m)
         cstart = ctx.exscan_sum(n)
-        if ctx.rank == 0:
-            rstart = 0
-            cstart = 0
         local = extract_local(gi, gj, ga, row_layout, col_layout, ctx.rank)
         if (rstart, cstart) != (local.rstart, local.cstart):
             raise AssertionError(
@@ -123,7 +117,6 @@ def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         total = ctx.allreduce_sum(partial)
         return y.values, total, path
 
-    engine = CollectiveEngine(size, mode=mode, record_trace=record_trace)
     outputs = engine.run(program)
     ys = [out[0] for out in outputs]
     totals = [out[1] for out in outputs]

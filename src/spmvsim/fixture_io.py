@@ -29,12 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import validate_csr
-from .fixtures import Fixture, _oracle_product
+from .core import dense_from_csr, spmv_dense_oracle, validate_csr
+from .fixtures import Fixture
 
 __all__ = ["FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
-           "write_fixture", "read_fixture", "export_matrix_market",
-           "import_matrix_market", "companion_x_path"]
+           "validate_fixture", "write_fixture", "read_fixture",
+           "export_matrix_market", "import_matrix_market", "companion_x_path"]
 
 FORMAT_HEADER = "spmv-fixture-v1"
 
@@ -54,6 +54,20 @@ class FixtureFormatError(ValueError):
 
 class FixtureValidationError(ValueError):
     """The document parsed but its contents are inconsistent."""
+
+
+def validate_fixture(fixture: Fixture) -> None:
+    """Raise FixtureValidationError unless the matrix passes validate_csr
+    and values, x and z are all finite; the readers and the verifier call it."""
+    report = validate_csr(fixture.matrix())
+    if not report.ok:
+        raise FixtureValidationError("invalid CSR: " + report.violations[0])
+    for name in ("values", "x", "z"):
+        arr = getattr(fixture, name)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if len(bad):
+            raise FixtureValidationError(
+                f"non-finite {name}[{bad[0]}] = {float(arr[bad[0]])!r}")
 
 
 def _fmt_float(v: float) -> str:
@@ -105,9 +119,9 @@ def _parse_array(tokens: list[str], lineno: int, name: str, caster):
 def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
     """Parse and validate a canonical fixture file.
 
-    Structural CSR validation always runs. With check_ground_truth the
-    stored z is compared against a fresh dense-oracle product and any
-    difference is rejected; pass False when the point of loading the file
+    validate_fixture always runs. With check_ground_truth the stored z is
+    compared against a fresh dense-oracle product and any difference is
+    rejected; pass False when the point of loading the file
     is to let the multiplication itself judge the stored product.
     """
     text = Path(source).read_text()
@@ -161,12 +175,10 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
     fixture = Fixture(M=M, N=N, row_ptr=arrays["rowptr"],
                       col_idx=arrays["colidx"], values=arrays["values"],
                       x=arrays["x"], z=arrays["z"], metadata=metadata)
-    report = validate_csr(fixture.matrix())
-    if not report.ok:
-        raise FixtureValidationError("invalid CSR: " + report.violations[0])
+    validate_fixture(fixture)
     if check_ground_truth:
-        recomputed = _oracle_product(M, N, fixture.row_ptr, fixture.col_idx,
-                                     fixture.values, fixture.x)
+        recomputed = spmv_dense_oracle(dense_from_csr(fixture.matrix()),
+                                       fixture.x_vector()).values
         if not np.array_equal(recomputed, fixture.z):
             bad = int(np.nonzero(recomputed != fixture.z)[0][0])
             raise FixtureValidationError(
@@ -277,17 +289,13 @@ def _read_mm_x(source, expected_n: int) -> np.ndarray:
         raise FixtureFormatError(f"{source}: {exc}") from None
 
 
-def import_matrix_market(source, x_source=None, *, x_seed: int = 0,
-                         z_policy: str = "derive") -> Fixture:
+def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
     """Read a coordinate real general matrix and build a full fixture.
 
     x comes from the companion array file (x_source, or the derived sibling
     path when present) and is otherwise generated from x_seed as small
-    positive integers. z is always recomputed with the dense oracle, which
-    is what z_policy='derive' (the only supported policy) states.
+    positive integers. z is always recomputed with the dense oracle.
     """
-    if z_policy != "derive":
-        raise ValueError(f"unsupported z_policy {z_policy!r}; only 'derive'")
     body, numbers, header = _mm_body(source)
     _mm_header(header, source, "coordinate")
     size_tokens = body[0].split()
@@ -308,7 +316,6 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0,
         raise FixtureFormatError(
             f"{source}: expected {nnz} entries, got {len(body) - 1}")
     triples = []
-    seen = set()
     for stripped, lineno in zip(body[1:], numbers[1:]):
         tokens = stripped.split()
         if len(tokens) != 3:
@@ -323,10 +330,6 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0,
         if not (1 <= r <= M and 1 <= c <= N):
             raise FixtureFormatError(
                 f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}", lineno)
-        if (r, c) in seen:
-            raise FixtureValidationError(
-                f"{source}: duplicate entry for cell ({r}, {c})")
-        seen.add((r, c))
         triples.append((r - 1, c - 1, v))
     triples.sort(key=lambda t: (t[0], t[1]))
     counts = np.zeros(M, dtype=np.int64)
@@ -347,6 +350,10 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0,
         rng = np.random.default_rng(x_seed)
         x = rng.integers(1, 10, size=N).astype(np.float64)
         metadata["x_source"] = f"generated seed={x_seed}"
-    z = _oracle_product(M, N, row_ptr, col_idx, values, x)
-    return Fixture(M=M, N=N, row_ptr=row_ptr, col_idx=col_idx, values=values,
-                   x=x, z=z, metadata=metadata)
+    # zeros stand in for z until the parsed arrays have passed the boundary
+    fixture = Fixture(M=M, N=N, row_ptr=row_ptr, col_idx=col_idx,
+                      values=values, x=x, z=np.zeros(M), metadata=metadata)
+    validate_fixture(fixture)
+    fixture.z = spmv_dense_oracle(dense_from_csr(fixture.matrix()),
+                                  fixture.x_vector()).values
+    return fixture

@@ -104,12 +104,6 @@ class Fixture:
         return DenseVector.sequential(self.z.copy())
 
 
-def _oracle_product(M: int, N: int, row_ptr, col_idx, values, x) -> np.ndarray:
-    mat = CsrMatrix.sequential(row_ptr, col_idx, values, n=N)
-    dense = dense_from_csr(mat)
-    return spmv_dense_oracle(dense, DenseVector.sequential(x)).values
-
-
 def generate(params: GenParams) -> Fixture:
     """Generate a random fixture; the same params give a bit-identical one.
 
@@ -142,7 +136,8 @@ def generate(params: GenParams) -> Fixture:
     xlo, xhi = params.x_range
     values = rng.integers(vlo, vhi + 1, size=nnz).astype(np.float64)
     x = rng.integers(xlo, xhi + 1, size=N).astype(np.float64)
-    z = _oracle_product(M, N, row_ptr, col_idx, values, x)
+    mat = CsrMatrix.sequential(row_ptr, col_idx, values, n=N)
+    z = spmv_dense_oracle(dense_from_csr(mat), DenseVector.sequential(x)).values
     metadata = {
         "rng": RNG_NAME,
         "seed": str(params.seed),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collectives import exclusive_prefix_sums
 from .core import CsrMatrix
 
 __all__ = ["Layout", "LayoutSumMismatch", "block_local_size", "build_layout",
@@ -78,12 +79,8 @@ def build_layout(total: int, size: int, explicit_local_sizes=None) -> Layout:
             raise LayoutSumMismatch(
                 f"layout sum mismatch: sum {sum(sizes)} != {total}")
         explicit = True
-    starts = []
-    acc = 0
-    for s in sizes:
-        starts.append(acc)
-        acc += s
-    return Layout(size=size, local_sizes=sizes, starts=tuple(starts),
+    return Layout(size=size, local_sizes=sizes,
+                  starts=tuple(exclusive_prefix_sums(sizes)),
                   total=total, explicit=explicit)
 
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from conftest import assert_fixture_equal
-from spmvsim import read_fixture, reference_fixture, write_fixture
+from spmvsim import (MAX_RANKS, Fixture, read_fixture, reference_fixture,
+                     write_fixture)
 from spmvsim.cli import main
 
 SUCCESS = "Succeeded in computing y = Ax"
@@ -74,8 +75,10 @@ def test_run_distributed_modes(tmp_path, capsys):
 
 def test_run_rejects_bad_rank_count(tmp_path, capsys):
     path = write_ref(tmp_path)
-    assert main(["run", "--fixture", str(path), "--mode", "dist",
-                 "--ranks", "0"]) == 2
+    for ranks in (0, MAX_RANKS + 1):
+        assert main(["run", "--fixture", str(path), "--mode", "dist",
+                     "--ranks", str(ranks)]) == 2
+        assert f"1..{MAX_RANKS}" in capsys.readouterr().err
 
 
 def test_run_corrupted_fixture_fails_with_norm(tmp_path, capsys):
@@ -116,10 +119,12 @@ def test_verify_reference_all_pass(tmp_path, capsys):
 
 def test_verify_bad_layout_flag(tmp_path, capsys):
     path = write_ref(tmp_path)
-    assert main(["verify", "--fixture", str(path), "--ranks-list", "2",
-                 "--row-sizes", "16,15"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL layout-sums" in out
+    # a wrong sum and a wrong number of sizes
+    for sizes in ("16,15", "32"):
+        assert main(["verify", "--fixture", str(path), "--ranks-list", "2",
+                     "--row-sizes", sizes]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL layout-sums" in out
 
 
 def test_verify_corrupt_fixture_fails(tmp_path, capsys):
@@ -143,7 +148,36 @@ def test_verify_json(tmp_path, capsys):
 
 def test_verify_rejects_bad_ranks_list(tmp_path, capsys):
     path = write_ref(tmp_path)
-    assert main(["verify", "--fixture", str(path), "--ranks-list", "0,2"]) == 2
+    for ranks in ("0,2", f"2,{MAX_RANKS + 1}"):
+        assert main(["verify", "--fixture", str(path),
+                     "--ranks-list", ranks]) == 2
+        assert f"1..{MAX_RANKS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--mode", "seq"],
+    ["run", "--mode", "dist", "--ranks", "2"],
+    ["verify"],
+])
+def test_duplicate_cell_file_is_a_data_error(tmp_path, capsys, argv):
+    # the kernel would sum the two entries to the stored z, so only the
+    # structural check tells this file apart from a valid one
+    fx = Fixture(M=2, N=2, row_ptr=[0, 2, 2], col_idx=[1, 1],
+                 values=[1.0, 2.0], x=[1.0, 1.0], z=[3.0, 0.0])
+    path = tmp_path / "dup.fx"
+    write_fixture(fx, path)
+    assert main([argv[0], "--fixture", str(path), *argv[1:]]) == 2
+    assert "duplicate cell (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["values", "x", "z"])
+def test_non_finite_file_is_a_data_error(tmp_path, capsys, field):
+    def poison(fx):
+        getattr(fx, field)[0] = float("nan")
+
+    path = write_ref(tmp_path, poison)
+    assert main(["run", "--fixture", str(path)]) == 2
+    assert f"non-finite {field}[0] = nan" in capsys.readouterr().err
 
 
 def test_convert_round_trip(tmp_path, capsys):
@@ -172,16 +206,6 @@ def test_convert_unrecognized_input(tmp_path, capsys):
     bad.write_text("hello\n")
     assert main(["convert", "--in", str(bad), "--out",
                  str(tmp_path / "o.fx"), "--format", "fixture"]) == 2
-
-
-def test_convert_accepts_derive_z_flag(tmp_path):
-    src = write_ref(tmp_path)
-    mtx = tmp_path / "ref.mtx"
-    out = tmp_path / "o.fx"
-    assert main(["convert", "--in", str(src), "--out", str(mtx),
-                 "--format", "matrixmarket"]) == 0
-    assert main(["convert", "--in", str(mtx), "--out", str(out),
-                 "--format", "fixture", "--derive-z"]) == 0
 
 
 def test_unknown_subcommand_exits_2():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spmvsim import (
+    MAX_RANKS,
     CollectiveEngine,
     CollectiveError,
     CollectiveMismatch,
@@ -255,6 +256,11 @@ def test_engine_argument_checks():
         CollectiveEngine(0)
     with pytest.raises(ValueError):
         CollectiveEngine(2, mode="turbo")
+    # one above the cap is refused before any rank program starts
+    started = []
+    with pytest.raises(ValueError, match=f"1..{MAX_RANKS}"):
+        run_ranks(MAX_RANKS + 1, started.append)
+    assert started == []
 
 
 def test_single_rank_collectives_are_immediate():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spmvsim import (
@@ -22,6 +22,39 @@ from spmvsim import (
 # known product of the bundled reference instance
 REF_Z = [40, 0, 12, 113, 69, 27, 0, 45, 0, 57, 0, 0, 73, 36, 20, 0, 14, 77,
          61, 36, 95, 4, 68, 12, 32, 141, 0, 148, 81, 0, 63, 51]
+
+
+# non-integer floats, so a wrong placement or order cannot hide behind
+# exactly representable integers
+NON_INTEGER = st.floats(-1e3, 1e3, allow_nan=False).filter(
+    lambda v: not v.is_integer())
+
+
+@st.composite
+def csr_matrices(draw, unique_columns):
+    """Small sequential matrices with unsorted columns within each row;
+    rows may be empty, and repeat a column unless unique_columns."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
+    cols = st.lists(st.integers(0, n - 1), unique=unique_columns,
+                    max_size=n if unique_columns else n + 2)
+    rows = [draw(cols) for _ in range(m)]
+    col_idx = [j for row in rows for j in row]
+    values = draw(st.lists(NON_INTEGER, min_size=len(col_idx),
+                           max_size=len(col_idx)))
+    row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    return CsrMatrix.sequential(row_ptr.astype(np.int64), col_idx, values, n=n)
+
+
+def dense_by_entry_loop(mat):
+    """Per-entry expansion into dense storage: the reference dense_from_csr
+    must equal bit for bit."""
+    dense = np.zeros((mat.m, mat.N), dtype=np.float64)
+    rp, cj, av = mat.row_ptr.tolist(), mat.col_idx.tolist(), mat.values.tolist()
+    for i in range(mat.m):
+        for p in range(rp[i], rp[i + 1]):
+            dense[i, cj[p]] = av[p]
+    return dense
 
 
 def small_matrix():
@@ -86,6 +119,38 @@ def test_validate_collects_every_violation():
     mat = CsrMatrix.sequential([1, 2], [9], [1.0], n=2)
     report = validate_csr(mat)
     assert len(report.violations) >= 2
+
+
+def test_validate_rejects_duplicate_cell():
+    mat = CsrMatrix.sequential([0, 1, 3], [2, 0, 0], [1.5, 2.5, 3.5], n=3)
+    report = validate_csr(mat)
+    assert not report.ok
+    assert report.violations == ["duplicate cell (1, 0) stored more than once"]
+    assert report.duplicate_cell == (1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=csr_matrices(unique_columns=False))
+def test_validate_flags_duplicates_like_a_set(mat):
+    pairs = [(i, int(j)) for i in range(mat.m)
+             for j in mat.col_idx[mat.row_ptr[i]:mat.row_ptr[i + 1]]]
+    seen, repeated = set(), set()
+    for pair in pairs:
+        (repeated if pair in seen else seen).add(pair)
+    report = validate_csr(mat)
+    assert report.ok == (not repeated)
+    assert report.duplicate_cell == (min(repeated) if repeated else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=csr_matrices(unique_columns=True))
+@example(mat=CsrMatrix.sequential([0, 0, 2, 2], [3, 1], [0.5, -2.25], n=4))
+@example(mat=CsrMatrix.sequential([0], [], [], n=3))
+def test_dense_from_csr_equals_entry_loop(mat):
+    dense = dense_from_csr(mat).values
+    reference = dense_by_entry_loop(mat)
+    assert dense.shape == reference.shape
+    assert dense.tobytes() == reference.tobytes()
 
 
 def test_spmv_reproduces_reference_product(ref):

@@ -130,6 +130,29 @@ def test_invalid_csr_rejected(tmp_path, ref):
         read_fixture(path)
 
 
+def test_duplicate_cell_rejected(tmp_path, ref):
+    # the second entry of row 3 repeats the first one's column
+    ref.col_idx[3] = ref.col_idx[2]
+    path = tmp_path / "dup.fx"
+    write_fixture(ref, path)
+    for check in (True, False):
+        with pytest.raises(FixtureValidationError,
+                           match=r"duplicate cell \(3, 1\)"):
+            read_fixture(path, check_ground_truth=check)
+
+
+@pytest.mark.parametrize("field", ["values", "x", "z"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_rejected(tmp_path, ref, field, bad):
+    getattr(ref, field)[2] = bad
+    path = tmp_path / "nonfinite.fx"
+    write_fixture(ref, path)
+    for check in (True, False):
+        with pytest.raises(FixtureValidationError,
+                           match=rf"non-finite {field}\[2\] = {bad!r}"):
+            read_fixture(path, check_ground_truth=check)
+
+
 def test_ground_truth_mismatch_rejected(tmp_path, ref):
     ref.z[5] += 2.0
     path = tmp_path / "wrongz.fx"
@@ -285,8 +308,17 @@ def test_mm_x_length_must_match(tmp_path, ref):
         import_matrix_market(path)
 
 
-def test_mm_z_policy_guard(tmp_path, ref):
+def test_mm_rejects_non_finite(tmp_path, ref):
     path = tmp_path / "ref.mtx"
     export_matrix_market(ref, path)
-    with pytest.raises(ValueError, match="z_policy"):
-        import_matrix_market(path, z_policy="copy")
+    text = path.read_text()
+    path.write_text(text.replace(" 8.0\n", " nan\n", 1))
+    with pytest.raises(FixtureValidationError, match=r"non-finite values\[0\]"):
+        import_matrix_market(path)
+    path.write_text(text)
+    xp = companion_x_path(path)
+    lines = xp.read_text().splitlines()
+    lines[3] = "-inf"
+    xp.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FixtureValidationError, match=r"non-finite x\[1\] = -inf"):
+        import_matrix_market(path)

@@ -2,7 +2,10 @@
 
 import numpy as np
 
+import spmvsim.verify
 from spmvsim import (
+    MAX_RANKS,
+    CollectiveMismatch,
     GenParams,
     generate,
     reference_fixture,
@@ -19,8 +22,7 @@ def test_sequential_reference_passes(ref):
     report = verify_sequential(ref)
     assert report.overall
     assert check_names(report) == ["kernel-matches-oracle",
-                                   "residual-within-tolerance",
-                                   "pass-flag-consistent"]
+                                   "residual-within-tolerance"]
 
 
 def test_sequential_detects_corrupt_z(ref):
@@ -33,7 +35,19 @@ def test_sequential_detects_corrupt_z(ref):
     assert not by_name["residual-within-tolerance"].passed
     assert "1.0" in by_name["residual-within-tolerance"].detail
     # every check was still evaluated
-    assert len(report.checks) == 3
+    assert len(report.checks) == 2
+
+
+def test_sequential_invalid_input_is_a_failed_check():
+    duplicate, non_finite = reference_fixture(), reference_fixture()
+    duplicate.col_idx[3] = duplicate.col_idx[2]
+    non_finite.x[4] = float("inf")
+    for fx, named in ((duplicate, "duplicate cell (3, 1)"),
+                      (non_finite, "non-finite x[4] = inf")):
+        report = verify_sequential(fx)
+        assert not report.overall
+        assert check_names(report) == ["input-valid"]
+        assert named in report.checks[0].detail
 
 
 def test_sequential_trivial_instance():
@@ -59,11 +73,28 @@ def test_distributed_explicit_layouts_pass(ref):
 
 
 def test_distributed_bad_layout_named(ref):
-    report = verify_distributed(ref, 2, explicit_row_sizes=[16, 15])
+    for sizes, named in (([16, 15], "sum 31 != 32"),
+                         ([32], "expected 2 block sizes, got 1")):
+        report = verify_distributed(ref, 2, explicit_row_sizes=sizes)
+        assert not report.overall
+        assert report.checks[0].name == "layout-sums"
+        assert not report.checks[0].passed
+        assert named in report.checks[0].detail
+
+
+def test_distributed_run_failure_is_a_failed_check(ref, monkeypatch):
+    report = verify_distributed(ref, MAX_RANKS + 1)
+    assert check_names(report) == ["layout-sums", "distributed-run"]
+    assert f"1..{MAX_RANKS}" in report.checks[1].detail
+
+    def broken_run(*args, **kwargs):
+        raise CollectiveMismatch("rank 1 called 'allgather' out of turn")
+
+    monkeypatch.setattr(spmvsim.verify, "run_distributed", broken_run)
+    report = verify_distributed(ref, 2)
     assert not report.overall
-    assert report.checks[0].name == "layout-sums"
-    assert not report.checks[0].passed
-    assert "sum 31 != 32" in report.checks[0].detail
+    assert report.checks[-1].name == "distributed-run"
+    assert "out of turn" in report.checks[-1].detail
 
 
 def test_distributed_detects_corrupt_value(ref):
