@@ -13,6 +13,7 @@ from .core import (
     residual_sq,
     spmv_dense_oracle,
     spmv_seq,
+    spmv_sorted_oracle,
     validate_csr,
 )
 from .layout import (
@@ -74,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CsrMatrix", "DenseMatrix", "DenseVector", "DuplicateEntry",
     "SizeMismatch", "ValidationReport", "dense_from_csr", "residual_sq",
-    "spmv_dense_oracle", "spmv_seq", "validate_csr",
+    "spmv_dense_oracle", "spmv_seq", "spmv_sorted_oracle", "validate_csr",
     "Layout", "LayoutSumMismatch", "block_local_size", "build_layout",
     "extract_local",
     "MAX_RANKS", "CollectiveEngine", "CollectiveError", "CollectiveMismatch",

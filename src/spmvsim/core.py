@@ -4,8 +4,10 @@ The matrix type carries both local and global extents so the same container
 serves sequential use (local == global) and per-rank pieces of a block-row
 distributed matrix, where column indices remain global. The multiplication
 kernel is a plain row loop with left-to-right accumulation, so results are
-bitwise deterministic. A dense brute-force oracle provides an independent
-cross-check for the kernel.
+bitwise deterministic. A sorted-entry oracle, O(nnz) in time and memory,
+provides the independent cross-check for the kernel that the rest of the
+package runs; the dense brute-force oracle is the paper's reference, which
+tests check the sorted-entry one against.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "residual_sq",
     "dense_from_csr",
     "spmv_dense_oracle",
+    "spmv_sorted_oracle",
 ]
 
 
@@ -205,16 +208,22 @@ def residual_sq(y: DenseVector, z: DenseVector) -> float:
     return total
 
 
+def _require_valid(mat: CsrMatrix) -> None:
+    """Raise DuplicateEntry on a cell stored twice and ValueError on any
+    other validate_csr violation."""
+    report = validate_csr(mat)
+    if not report.ok:
+        error = DuplicateEntry if report.duplicate_cell else ValueError
+        raise error("invalid CSR: " + report.violations[0])
+
+
 def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
     """Expand a CSR matrix into dense m x N storage.
 
     Rejects matrices that store the same cell twice, since the dense form
     cannot represent summed duplicates faithfully.
     """
-    report = validate_csr(mat)
-    if not report.ok:
-        error = DuplicateEntry if report.duplicate_cell else ValueError
-        raise error("invalid CSR: " + report.violations[0])
+    _require_valid(mat)
     rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
     dense = np.zeros((mat.m, mat.N), dtype=np.float64)
     dense[rows, mat.col_idx] = mat.values
@@ -234,3 +243,27 @@ def spmv_dense_oracle(dense: DenseMatrix, x: DenseVector) -> DenseVector:
             acc += a * xv
         out[i] = acc
     return DenseVector(n=dense.m, N=dense.m, values=out)
+
+
+def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
+    """Sorted-entry product in O(nnz), the independent check for spmv_seq.
+
+    A COO copy of the entries is sorted by (row, column) and each row is
+    accumulated from 0.0 in ascending column order. For finite inputs this
+    is bitwise equal to spmv_dense_oracle(dense_from_csr(mat), x): a dense
+    row also adds the products of its empty cells, which are +-0.0, and a
+    sum that starts at +0.0 never becomes -0.0 under round-to-nearest, so
+    adding +-0.0 never changes it. Raises like dense_from_csr on an invalid
+    matrix and like spmv_dense_oracle on a width mismatch.
+    """
+    _require_valid(mat)
+    if mat.N != x.n:
+        raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
+    rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
+    order = np.lexsort((mat.col_idx, rows))
+    xs = x.values.tolist()
+    out = [0.0] * mat.m
+    for r, c, a in zip(rows[order].tolist(), mat.col_idx[order].tolist(),
+                       mat.values[order].tolist()):
+        out[r] += a * xs[c]
+    return DenseVector(n=mat.m, N=mat.m, values=out)

@@ -20,7 +20,7 @@ read of a write restores them bit for bit.
 Matrix Market export writes the matrix as a 1-based coordinate real general
 file with entries sorted by (row, column) plus a companion array file for
 x next to it; z is not representable in the format and is recomputed from
-the dense oracle on import.
+the sorted-entry oracle on import.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import dense_from_csr, spmv_dense_oracle, validate_csr
+from .core import spmv_sorted_oracle, validate_csr
 from .fixtures import Fixture
 
 __all__ = ["FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
@@ -57,17 +57,42 @@ class FixtureValidationError(ValueError):
 
 
 def validate_fixture(fixture: Fixture) -> None:
-    """Raise FixtureValidationError unless the matrix passes validate_csr
-    and values, x and z are all finite; the readers and the verifier call it."""
+    """Raise FixtureValidationError unless row_ptr, x and z have the lengths
+    the extents M and N give, the matrix passes validate_csr and values, x
+    and z are all finite; the readers and the verifier call it."""
+    for name, arr, want in (("row_ptr", fixture.row_ptr, fixture.M + 1),
+                            ("x", fixture.x, fixture.N),
+                            ("z", fixture.z, fixture.M)):
+        if len(arr) != want:
+            raise FixtureValidationError(
+                f"{name} has {len(arr)} entries, expected {want}")
     report = validate_csr(fixture.matrix())
     if not report.ok:
         raise FixtureValidationError("invalid CSR: " + report.violations[0])
     for name in ("values", "x", "z"):
-        arr = getattr(fixture, name)
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if len(bad):
-            raise FixtureValidationError(
-                f"non-finite {name}[{bad[0]}] = {float(arr[bad[0]])!r}")
+        _require_finite(name, getattr(fixture, name))
+
+
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if len(bad):
+        raise FixtureValidationError(
+            f"non-finite {name}[{bad[0]}] = {float(arr[bad[0]])!r}")
+
+
+def _read_text(source) -> str:
+    try:
+        return Path(source).read_text()
+    except UnicodeDecodeError as exc:
+        raise FixtureFormatError(
+            f"{source}: not text ({exc.reason} at byte {exc.start})") from None
+
+
+def _int64(token: str) -> int:
+    value = int(token)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{token!r} does not fit in int64")
+    return value
 
 
 def _fmt_float(v: float) -> str:
@@ -120,12 +145,11 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
     """Parse and validate a canonical fixture file.
 
     validate_fixture always runs. With check_ground_truth the stored z is
-    compared against a fresh dense-oracle product and any difference is
+    compared against a fresh sorted-entry oracle product and any difference is
     rejected; pass False when the point of loading the file
     is to let the multiplication itself judge the stored product.
     """
-    text = Path(source).read_text()
-    lines = text.splitlines()
+    lines = _read_text(source).splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise FixtureFormatError(
             f"missing '{FORMAT_HEADER}' header", line=1)
@@ -155,7 +179,7 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
         elif key in _ARRAY_FIELDS:
             if key in arrays:
                 raise FixtureFormatError(f"duplicate field '{key}'", lineno)
-            caster = int if key in ("rowptr", "colidx") else float
+            caster = _int64 if key in ("rowptr", "colidx") else float
             arrays[key] = _parse_array(tokens[1:], lineno, key, caster)
         else:
             raise FixtureFormatError(f"unknown field {key!r}", lineno)
@@ -177,19 +201,24 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
                       x=arrays["x"], z=arrays["z"], metadata=metadata)
     validate_fixture(fixture)
     if check_ground_truth:
-        recomputed = spmv_dense_oracle(dense_from_csr(fixture.matrix()),
-                                       fixture.x_vector()).values
+        recomputed = spmv_sorted_oracle(fixture.matrix(),
+                                        fixture.x_vector()).values
         if not np.array_equal(recomputed, fixture.z):
             bad = int(np.nonzero(recomputed != fixture.z)[0][0])
             raise FixtureValidationError(
-                f"ground truth mismatch: stored z[{bad}] = {fixture.z[bad]!r} "
-                f"but recomputed product is {recomputed[bad]!r}")
+                f"ground truth mismatch: stored z[{bad}] = "
+                f"{float(fixture.z[bad])!r} but recomputed product is "
+                f"{float(recomputed[bad])!r}")
     return fixture
 
 
 # -- Matrix Market ----------------------------------------------------------
 
 _MM_BANNER = "%%MatrixMarket"
+# validate_csr's cell keys row * N + col are int64, and numpy refuses
+# arrays of 2**63 bytes or more; below this bound neither the keys nor the
+# M + 1 eight-byte row pointers reach those limits
+_MAX_CELLS = 2**59
 
 
 def companion_x_path(matrix_path) -> Path:
@@ -249,8 +278,7 @@ def _mm_header(first_line: str, path, want_format: str) -> None:
 
 
 def _mm_body(source) -> tuple[list[str], list[int], str]:
-    text = Path(source).read_text()
-    lines = text.splitlines()
+    lines = _read_text(source).splitlines()
     if not lines:
         raise FixtureFormatError(f"{source}: empty file", line=1)
     header = lines[0]
@@ -271,7 +299,7 @@ def _read_mm_x(source, expected_n: int) -> np.ndarray:
     body, numbers, header = _mm_body(source)
     _mm_header(header, source, "array")
     dims = body[0].split()
-    if len(dims) != 2 or dims[1] != "1" or not dims[0].isdigit():
+    if len(dims) != 2 or dims[1] != "1" or not dims[0].isdecimal():
         raise FixtureFormatError(
             f"{source}: expected an N x 1 array size line, got {body[0]!r}",
             numbers[0])
@@ -294,7 +322,7 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
 
     x comes from the companion array file (x_source, or the derived sibling
     path when present) and is otherwise generated from x_seed as small
-    positive integers. z is always recomputed with the dense oracle.
+    positive integers. z is always recomputed with the sorted-entry oracle.
     """
     body, numbers, header = _mm_body(source)
     _mm_header(header, source, "coordinate")
@@ -312,6 +340,9 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
     if M < 1 or N < 1 or nnz < 0:
         raise FixtureFormatError(
             f"{source}: invalid sizes M={M} N={N} nnz={nnz}", numbers[0])
+    if M * N > _MAX_CELLS:
+        raise FixtureFormatError(
+            f"{source}: {M} x {N} exceeds {_MAX_CELLS} cells", numbers[0])
     if len(body) - 1 != nnz:
         raise FixtureFormatError(
             f"{source}: expected {nnz} entries, got {len(body) - 1}")
@@ -332,11 +363,9 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
                 f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}", lineno)
         triples.append((r - 1, c - 1, v))
     triples.sort(key=lambda t: (t[0], t[1]))
-    counts = np.zeros(M, dtype=np.int64)
-    for r, _, _ in triples:
-        counts[r] += 1
+    rows = np.array([r for r, _, _ in triples], dtype=np.int64)
     row_ptr = np.zeros(M + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
+    np.cumsum(np.bincount(rows, minlength=M), out=row_ptr[1:])
     col_idx = np.array([c for _, c, _ in triples], dtype=np.int64)
     values = np.array([v for _, _, v in triples], dtype=np.float64)
     metadata = {"source": "matrix-market"}
@@ -354,6 +383,7 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
     fixture = Fixture(M=M, N=N, row_ptr=row_ptr, col_idx=col_idx,
                       values=values, x=x, z=np.zeros(M), metadata=metadata)
     validate_fixture(fixture)
-    fixture.z = spmv_dense_oracle(dense_from_csr(fixture.matrix()),
-                                  fixture.x_vector()).values
+    fixture.z = spmv_sorted_oracle(fixture.matrix(), fixture.x_vector()).values
+    # finite entries can still overflow to a non-finite product
+    _require_finite("z", fixture.z)
     return fixture

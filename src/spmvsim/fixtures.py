@@ -3,8 +3,8 @@
 A fixture packages a global CSR matrix A, an input vector x, and the known
 product z = A x. All data is integer-valued in small ranges so products are
 exact in double precision and every downstream comparison can demand exact
-equality. z always comes from the dense brute-force oracle, never from the
-CSR kernel, so the generator cannot share a bug with the code under test.
+equality. z always comes from the sorted-entry oracle, never from the CSR
+kernel, so the generator cannot share a bug with the code under test.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CsrMatrix, DenseVector, dense_from_csr, spmv_dense_oracle)
+from .core import CsrMatrix, DenseVector, spmv_sorted_oracle
 
 __all__ = ["GenParams", "Fixture", "InvalidGenParams", "RNG_NAME",
            "generate", "reference_fixture"]
@@ -137,7 +137,7 @@ def generate(params: GenParams) -> Fixture:
     values = rng.integers(vlo, vhi + 1, size=nnz).astype(np.float64)
     x = rng.integers(xlo, xhi + 1, size=N).astype(np.float64)
     mat = CsrMatrix.sequential(row_ptr, col_idx, values, n=N)
-    z = spmv_dense_oracle(dense_from_csr(mat), DenseVector.sequential(x)).values
+    z = spmv_sorted_oracle(mat, DenseVector.sequential(x)).values
     metadata = {
         "rng": RNG_NAME,
         "seed": str(params.seed),

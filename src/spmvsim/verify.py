@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collectives import CollectiveError
-from .core import dense_from_csr, residual_sq, spmv_dense_oracle, spmv_seq
+from .core import residual_sq, spmv_seq, spmv_sorted_oracle
 from .distributed import GatherPath, check_pass, run_distributed
 from .fixture_io import FixtureValidationError, validate_fixture
 from .fixtures import Fixture
@@ -56,13 +56,14 @@ def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
     if not len(idx):
         return "no differences"
     k = int(idx[0])
-    return f"first difference at index {k}: {a[k]!r} != {b[k]!r}"
+    return f"first difference at index {k}: {float(a[k])!r} != {float(b[k])!r}"
 
 
 def verify_sequential(fixture: Fixture) -> VerificationReport:
     """Check the sequential kernel of a fixture against its ground truth.
 
-    Checks: exact agreement of the CSR kernel with the dense oracle and the
+    Checks: exact agreement of the CSR kernel with the sorted-entry oracle
+    (spmv_sorted_oracle, itself tested against the dense reference) and the
     squared residual against the stored product staying within tolerance.
     A fixture that fails validate_fixture gets only a failed input-valid.
     """
@@ -75,11 +76,11 @@ def verify_sequential(fixture: Fixture) -> VerificationReport:
     mat = fixture.matrix()
     x = fixture.x_vector()
     y = spmv_seq(mat, x)
-    oracle = spmv_dense_oracle(dense_from_csr(mat), x)
+    oracle = spmv_sorted_oracle(mat, x)
     same = np.array_equal(y.values, oracle.values)
     checks.append(CheckResult(
         "kernel-matches-oracle", same,
-        "kernel output equals dense oracle exactly" if same
+        "kernel output equals sorted-entry oracle exactly" if same
         else _first_diff(y.values, oracle.values)))
     rsq = residual_sq(y, fixture.z_vector())
     ok = check_pass(rsq)

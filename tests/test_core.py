@@ -1,4 +1,4 @@
-"""CSR validation, the row-loop kernel, residual, and the dense oracle."""
+"""CSR validation, the row-loop kernel, residual, and the two oracles."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from spmvsim import (
     residual_sq,
     spmv_dense_oracle,
     spmv_seq,
+    spmv_sorted_oracle,
     validate_csr,
 )
 
@@ -28,10 +29,13 @@ REF_Z = [40, 0, 12, 113, 69, 27, 0, 45, 0, 57, 0, 0, 73, 36, 20, 0, 14, 77,
 # exactly representable integers
 NON_INTEGER = st.floats(-1e3, 1e3, allow_nan=False).filter(
     lambda v: not v.is_integer())
+# every finite double too: signed zeros, subnormals, and magnitudes whose
+# products underflow to +-0.0 or overflow to +-inf
+FINITE = NON_INTEGER | st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def csr_matrices(draw, unique_columns):
+def csr_matrices(draw, unique_columns, values=NON_INTEGER):
     """Small sequential matrices with unsorted columns within each row;
     rows may be empty, and repeat a column unless unique_columns."""
     n = draw(st.integers(1, 6))
@@ -40,10 +44,19 @@ def csr_matrices(draw, unique_columns):
                     max_size=n if unique_columns else n + 2)
     rows = [draw(cols) for _ in range(m)]
     col_idx = [j for row in rows for j in row]
-    values = draw(st.lists(NON_INTEGER, min_size=len(col_idx),
+    values = draw(st.lists(values, min_size=len(col_idx),
                            max_size=len(col_idx)))
     row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
     return CsrMatrix.sequential(row_ptr.astype(np.int64), col_idx, values, n=n)
+
+
+@st.composite
+def products(draw):
+    """A matrix without duplicate cells and an x of its width, both drawn
+    from FINITE."""
+    mat = draw(csr_matrices(unique_columns=True, values=FINITE))
+    x = draw(st.lists(FINITE, min_size=mat.N, max_size=mat.N))
+    return mat, DenseVector.sequential(x)
 
 
 def dense_by_entry_loop(mat):
@@ -242,6 +255,45 @@ def test_dense_from_csr_rejects_invalid():
     mat = CsrMatrix.sequential([1, 2], [0], [1.0], n=2)
     with pytest.raises(ValueError, match="invalid CSR"):
         dense_from_csr(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=products())
+# empty rows
+@example(case=(CsrMatrix.sequential([0, 0, 2, 2], [3, 1], [0.5, -2.25], n=4),
+               DenseVector.sequential([-1.5, 0.25, 2.5, -0.75])))
+# a zero-row matrix
+@example(case=(CsrMatrix.sequential([0], [], [], n=3),
+               DenseVector.sequential([0.5, -1.5, 2.5])))
+# explicit zeros against negative x: every product is -0.0
+@example(case=(CsrMatrix.sequential([0, 2, 3], [2, 0, 1], [0.0, 0.0, -0.0], n=3),
+               DenseVector.sequential([-1.5, -2.5, 0.5])))
+# products that overflow to +inf and -inf, and inf + -inf = nan in row 2
+@example(case=(CsrMatrix.sequential([0, 1, 2, 4], [0, 1, 1, 0],
+                                    [1e300, -1e300, 1e300, -3e300], n=2),
+               DenseVector.sequential([1e10, 1e300])))
+def test_sorted_oracle_equals_dense_oracle(case):
+    mat, x = case
+    sorted_y = spmv_sorted_oracle(mat, x).values
+    dense_y = spmv_dense_oracle(dense_from_csr(mat), x).values
+    assert sorted_y.tobytes() == dense_y.tobytes()
+
+
+def test_sorted_oracle_rejects_duplicates():
+    mat = CsrMatrix.sequential([0, 2], [1, 1], [2.0, 3.0], n=2)
+    with pytest.raises(DuplicateEntry, match=r"duplicate cell \(0, 1\)"):
+        spmv_sorted_oracle(mat, DenseVector.sequential([1.0, 2.0]))
+
+
+def test_sorted_oracle_rejects_invalid():
+    mat = CsrMatrix.sequential([1, 2], [0], [1.0], n=2)
+    with pytest.raises(ValueError, match="invalid CSR"):
+        spmv_sorted_oracle(mat, DenseVector.sequential([1.0, 2.0]))
+
+
+def test_sorted_oracle_rejects_width_mismatch():
+    with pytest.raises(SizeMismatch, match="matrix width 4 != vector length 2"):
+        spmv_sorted_oracle(small_matrix(), DenseVector.sequential([1.0, 2.0]))
 
 
 def test_oracle_matches_kernel_on_reference(ref):

@@ -1,11 +1,17 @@
 """Canonical fixture files and Matrix Market interop."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_fixture_equal
 from spmvsim import (
     FORMAT_HEADER,
+    Fixture,
     FixtureFormatError,
     FixtureValidationError,
     GenParams,
@@ -15,6 +21,8 @@ from spmvsim import (
     import_matrix_market,
     read_fixture,
     reference_fixture,
+    validate_fixture,
+    verify_sequential,
     write_fixture,
 )
 
@@ -157,8 +165,10 @@ def test_ground_truth_mismatch_rejected(tmp_path, ref):
     ref.z[5] += 2.0
     path = tmp_path / "wrongz.fx"
     write_fixture(ref, path)
-    with pytest.raises(FixtureValidationError, match="ground truth mismatch"):
+    with pytest.raises(FixtureValidationError) as info:
         read_fixture(path)
+    assert str(info.value) == ("ground truth mismatch: stored z[5] = 29.0 "
+                               "but recomputed product is 27.0")
     # the challenge-file loophole: structural checks only
     loaded = read_fixture(path, check_ground_truth=False)
     assert loaded.z[5] == ref.z[5]
@@ -204,6 +214,32 @@ def test_mm_round_trip_generated(tmp_path):
         export_matrix_market(fx, path)
         assert_fixture_equal(import_matrix_market(path), fx,
                              include_metadata=False)
+
+
+def test_large_sparse_pipeline_needs_no_dense_matrix(tmp_path):
+    """generate, a checked read, verify and a Matrix Market round trip of a
+    20000 x 20000 fixture with 2,000 entries, in at most 512 MB more
+    address space; a dense M x N float64 copy alone would need 3.2 GB."""
+    resource = pytest.importorskip("resource")
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm for the mapped size")
+    mapped = int(statm.read_text().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**29, hard))
+    try:
+        fx = generate(GenParams(M=20000, N=20000, target_nnz=2000, seed=3))
+        write_fixture(fx, tmp_path / "big.fx")
+        back = read_fixture(tmp_path / "big.fx")
+        report = verify_sequential(back)
+        export_matrix_market(back, tmp_path / "big.mtx")
+        mm = import_matrix_market(tmp_path / "big.mtx")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert fx.nnz == 2000
+    assert_fixture_equal(back, fx)
+    assert report.overall, report.as_text()
+    assert_fixture_equal(mm, fx, include_metadata=False)
 
 
 def test_mm_import_without_companion_generates_x(tmp_path, ref):
@@ -322,3 +358,125 @@ def test_mm_rejects_non_finite(tmp_path, ref):
     xp.write_text("\n".join(lines) + "\n")
     with pytest.raises(FixtureValidationError, match=r"non-finite x\[1\] = -inf"):
         import_matrix_market(path)
+
+
+@pytest.mark.parametrize("field, length, named", [
+    ("z", 31, "z has 31 entries, expected 32"),
+    ("x", 35, "x has 35 entries, expected 36"),
+    ("row_ptr", 32, "row_ptr has 32 entries, expected 33"),
+])
+def test_validate_fixture_checks_extents(ref, field, length, named):
+    setattr(ref, field, getattr(ref, field)[:length])
+    with pytest.raises(FixtureValidationError, match=named):
+        validate_fixture(ref)
+
+
+# -- parser fuzzing ---------------------------------------------------------
+
+# tokens that sit on a parser's edges: signs, separators, non-ASCII digits,
+# non-finite and out-of-range floats, integers beyond int64, other keywords
+EDGE_TOKENS = ["0", "1", "-1", "2", "3", "36", "49", "0.5", "-0.0", "1e308",
+               "1e400", "-inf", "nan", "+3", "1_0", "٣", "²", "0x1",
+               str(2**59 + 1), str(2**63), str(10**30), "meta", "rows", "z",
+               "%", "%%MatrixMarket", "matrix", "coordinate", "array", "real",
+               "general", "symmetric", ""]
+TOKENS = st.sampled_from(EDGE_TOKENS)
+
+
+@st.composite
+def mutated(draw, text):
+    """A few token- and line-level edits of a valid document; most edits
+    replace a token, which keeps every declared length intact."""
+    lines = [ln.split(" ") for ln in text.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        edit = draw(st.sampled_from(
+            ["replace"] * 4 + ["insert", "drop-token", "drop-line",
+                               "copy-line"]))
+        if edit == "insert" or j == len(lines[i]):
+            lines[i].insert(j, draw(TOKENS | st.text(max_size=4)))
+        elif edit == "replace":
+            lines[i][j] = draw(TOKENS)
+        elif edit == "drop-token":
+            del lines[i][j]
+        elif edit == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif edit == "copy-line":
+            lines.insert(i, list(lines[i]))
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+def seed_documents():
+    """Valid canonical and Matrix Market texts of one small fixture."""
+    fx = generate(GenParams(M=4, N=5, target_nnz=6, seed=2))
+    fx.values[1] = -2.5
+    fx.metadata = {"note": "seed"}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_fixture(fx, tmp / "seed.fx")
+        export_matrix_market(fx, tmp / "seed.mtx")
+        return {name: (tmp / name).read_text()
+                for name in ("seed.fx", "seed.mtx", "seed.x.mtx")}
+
+
+SEEDS = seed_documents()
+
+
+def parses_or_named_error(read, *args, **kwargs):
+    try:
+        fixture = read(*args, **kwargs)
+    except (FixtureFormatError, FixtureValidationError):
+        return
+    assert isinstance(fixture, Fixture)
+    validate_fixture(fixture)
+
+
+def edited(name, old, new):
+    assert old in SEEDS[name]
+    return SEEDS[name].replace(old, new, 1)
+
+
+# every example writes into a new directory: rewriting one file in place
+# can cost a flush per example on some file systems
+FUZZ = settings(max_examples=400, deadline=None)
+
+
+@FUZZ
+@given(text=mutated(SEEDS["seed.fx"]) | st.text(), check=st.booleans())
+# integers beyond int64 raised OverflowError from the arrays' conversion
+@example(text=edited("seed.fx", "rowptr 5 0 2", "rowptr 5 0 " + str(2**63)),
+         check=False)
+@example(text=edited("seed.fx", "colidx 6 1", "colidx 6 -" + str(2**64)),
+         check=False)
+def test_read_fixture_fuzz(text, check):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.fx"
+        path.write_text(text)
+        parses_or_named_error(read_fixture, path, check_ground_truth=check)
+
+
+@FUZZ
+@given(matrix=mutated(SEEDS["seed.mtx"]) | st.text(),
+       x=mutated(SEEDS["seed.x.mtx"]) | st.just(SEEDS["seed.x.mtx"]))
+# extents numpy cannot allocate raised its ValueError
+@example(matrix=edited("seed.mtx", "4 5 6", f"4 {10**30} 6"),
+         x=SEEDS["seed.x.mtx"])
+# a product overflowing to inf was returned as z
+@example(matrix=edited("seed.mtx", " 9.0", " 1e308"), x=SEEDS["seed.x.mtx"])
+# "²" passes str.isdigit but not int()
+@example(matrix=SEEDS["seed.mtx"], x=edited("seed.x.mtx", "5 1", "² 1"))
+def test_import_matrix_market_fuzz(matrix, x):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.mtx"
+        path.write_text(matrix)
+        companion_x_path(path).write_text(x)
+        parses_or_named_error(import_matrix_market, path)
+
+
+def test_non_text_file_is_a_format_error(tmp_path):
+    path = tmp_path / "binary.fx"
+    path.write_bytes(b"\xff\xfe\x00\x81")
+    for read in (read_fixture, import_matrix_market):
+        with pytest.raises(FixtureFormatError):
+            read(path)

@@ -40,14 +40,31 @@ def test_sequential_detects_corrupt_z(ref):
 
 def test_sequential_invalid_input_is_a_failed_check():
     duplicate, non_finite = reference_fixture(), reference_fixture()
+    short_z = reference_fixture()
     duplicate.col_idx[3] = duplicate.col_idx[2]
     non_finite.x[4] = float("inf")
+    short_z.z = short_z.z[:-1]
     for fx, named in ((duplicate, "duplicate cell (3, 1)"),
-                      (non_finite, "non-finite x[4] = inf")):
+                      (non_finite, "non-finite x[4] = inf"),
+                      (short_z, "z has 31 entries, expected 32")):
         report = verify_sequential(fx)
         assert not report.overall
         assert check_names(report) == ["input-valid"]
         assert named in report.checks[0].detail
+
+
+def test_sequential_kernel_mismatch_names_the_entry(ref, monkeypatch):
+    real_spmv_seq = spmvsim.verify.spmv_seq
+
+    def off_by_half(mat, x):
+        y = real_spmv_seq(mat, x)
+        y.values[3] += 0.5
+        return y
+
+    monkeypatch.setattr(spmvsim.verify, "spmv_seq", off_by_half)
+    check = verify_sequential(ref).checks[0]
+    assert check.name == "kernel-matches-oracle" and not check.passed
+    assert check.detail == "first difference at index 3: 113.5 != 113.0"
 
 
 def test_sequential_trivial_instance():
