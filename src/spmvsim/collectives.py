@@ -195,7 +195,9 @@ class CollectiveEngine:
         """Execute program(ctx) on every rank; results in rank order.
 
         If any rank raises, the exception of the lowest-numbered failing
-        rank is re-raised here after all threads have stopped.
+        rank is re-raised here after all threads have stopped. A run still
+        going after timeout seconds is aborted and raises CollectiveError
+        at most one more timeout later, even if a rank never stops.
         """
         if self._ran:
             raise RuntimeError("engine already ran; build a new one per run")
@@ -205,7 +207,7 @@ class CollectiveEngine:
         threads = [
             threading.Thread(
                 target=self._worker, args=(r, program, results, failures),
-                name=f"sim-rank-{r}")
+                name=f"sim-rank-{r}", daemon=True)
             for r in range(self.size)
         ]
         for t in threads:
@@ -218,10 +220,15 @@ class CollectiveEngine:
                 self._abort = (CollectiveError,
                                f"simulation timed out after {self.timeout}s")
                 self._cond.notify_all()
+            # a rank stuck outside any collective never sees the abort; give
+            # up on it after one more timeout and leave its daemon thread
+            deadline = time.monotonic() + self.timeout
             for t in threads:
-                t.join()
+                t.join(max(0.0, deadline - time.monotonic()))
+            stuck = [r for r, t in enumerate(threads) if t.is_alive()]
+            detail = f"; rank(s) {stuck} did not stop" if stuck else ""
             raise CollectiveError(
-                f"simulation timed out after {self.timeout}s")
+                f"simulation timed out after {self.timeout}s{detail}")
         self._raise_first_failure(failures)
         return results
 

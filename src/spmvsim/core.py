@@ -3,11 +3,15 @@
 The matrix type carries both local and global extents so the same container
 serves sequential use (local == global) and per-rank pieces of a block-row
 distributed matrix, where column indices remain global. The multiplication
-kernel is a plain row loop with left-to-right accumulation, so results are
-bitwise deterministic. A sorted-entry oracle, O(nnz) in time and memory,
-provides the independent cross-check for the kernel that the rest of the
-package runs; the dense brute-force oracle is the paper's reference, which
-tests check the sorted-entry one against.
+kernel accumulates each row left to right in storage order, so results are
+bitwise deterministic. It takes one of two paths that give the same bits: a
+position-major sweep over the rows sorted longest first (an ELLPACK/SELL-style
+traversal, one numpy step per entry position) when the matrix has enough rows
+per step to pay for numpy's dispatch, and a plain row loop otherwise. A
+sorted-entry oracle, O(nnz) in time and memory, provides the independent
+cross-check for the kernel that the rest of the package runs; the dense
+brute-force oracle is the paper's reference, which tests check the
+sorted-entry one against.
 """
 
 from __future__ import annotations
@@ -171,12 +175,22 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     return ValidationReport(ok=not v, violations=v, duplicate_cell=duplicate)
 
 
-def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
-    """Multiply a CSR matrix by a dense vector, one row at a time.
+# a sweep step costs numpy dispatch worth about 15-30 loop entries, so the
+# sweep needs at least this many entries per step on average to win
+SWEEP_MIN_ENTRIES_PER_STEP = 32
 
-    Every output entry is explicitly initialized to 0.0 and entries of a row
-    are accumulated left to right in storage order, so the result is bitwise
-    reproducible. x must reach every referenced column; since indices are
+
+def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
+    """Multiply a CSR matrix by a dense vector, each row left to right.
+
+    Every output entry starts from 0.0 and adds its row's products in
+    storage order, so the result is bitwise reproducible. Matrices with at
+    least SWEEP_MIN_ENTRIES_PER_STEP entries per entry position of their
+    longest row take the position-major sweep, the rest the row loop. The
+    two are bitwise equal: each row is 0.0 + p0 + p1 + ... in storage order
+    on both, every product and every add is one correctly rounded IEEE
+    operation, and separate numpy calls are never fused into an FMA or
+    reassociated. x must reach every referenced column; since indices are
     global, a local piece is multiplied against the full-width vector.
     """
     if mat.nnz:
@@ -184,6 +198,19 @@ def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
         if x.n < required:
             raise SizeMismatch(
                 f"x has {x.n} entries but column indices reach {required - 1}")
+    # nnz <= m * longest, so the rule needs m >= SWEEP_MIN_ENTRIES_PER_STEP
+    # unless every row is empty; testing m first spares small rank blocks
+    # the row lengths
+    if (mat.m >= SWEEP_MIN_ENTRIES_PER_STEP and mat.nnz
+            >= SWEEP_MIN_ENTRIES_PER_STEP * int(np.diff(mat.row_ptr).max())):
+        out = _spmv_sweep(mat, x)
+    else:
+        out = _spmv_loop(mat, x)
+    return DenseVector(n=mat.m, N=mat.M, values=out)
+
+
+def _spmv_loop(mat: CsrMatrix, x: DenseVector) -> np.ndarray:
+    """One Python loop per row: the fast path for few or long rows."""
     rp = mat.row_ptr.tolist()
     cj = mat.col_idx.tolist()
     av = mat.values.tolist()
@@ -194,18 +221,45 @@ def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
         for p in range(rp[i], rp[i + 1]):
             acc += av[p] * xs[cj[p]]
         out[i] = acc
-    return DenseVector(n=mat.m, N=mat.M, values=out)
+    return out
+
+
+def _spmv_sweep(mat: CsrMatrix, x: DenseVector) -> np.ndarray:
+    """Position-major sweep: step k adds entry k of every row longer than k.
+
+    Rows are ordered longest first, so the rows still active at step k are
+    a prefix of that order and one slice-add serves them all.
+    """
+    lengths = np.diff(mat.row_ptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts = mat.row_ptr[:-1][order]
+    # active[k]: the number of rows longer than k
+    active = (mat.m - np.cumsum(np.bincount(lengths))[:-1]).tolist()
+    acc = np.zeros(mat.m, dtype=np.float64)
+    # like the Python loop, overflow to inf and inf + -inf = nan stay silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = mat.values * x.values[mat.col_idx]
+        for k, c in enumerate(active):
+            acc[:c] += prods[starts[:c] + k]
+    out = np.empty(mat.m, dtype=np.float64)
+    out[order] = acc
+    return out
 
 
 def residual_sq(y: DenseVector, z: DenseVector) -> float:
-    """Squared 2-norm of y - z, accumulated left to right."""
+    """Squared 2-norm of y - z, accumulated left to right.
+
+    np.cumsum adds strictly in order, unlike np.sum's pairwise summation,
+    and 0.0 + d0*d0 == d0*d0 because a square is never -0.0, so this equals
+    a loop that starts from 0.0.
+    """
     if y.n != z.n:
         raise SizeMismatch(f"result length {y.n} != reference length {z.n}")
-    total = 0.0
-    for a, b in zip(y.values.tolist(), z.values.tolist()):
-        d = a - b
-        total += d * d
-    return total
+    if not y.n:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = y.values - z.values
+        return float(np.cumsum(d * d)[-1])
 
 
 def _require_valid(mat: CsrMatrix) -> None:

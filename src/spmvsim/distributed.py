@@ -121,7 +121,8 @@ def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     ys = [out[0] for out in outputs]
     totals = [out[1] for out in outputs]
     paths = [out[2] for out in outputs]
-    if any(t != totals[0] for t in totals[1:]):
+    # bit patterns, so a NaN total that every rank shares agrees
+    if len({t.hex() for t in totals}) > 1:
         raise AssertionError(f"allreduce left ranks disagreeing: {totals}")
     if any(p != paths[0] for p in paths[1:]):
         raise AssertionError(f"ranks took different gather paths: {paths}")

@@ -51,8 +51,13 @@ class VerificationReport:
                 for c in self.checks]
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Results agree: equal entries, and NaN wherever the other has NaN."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
 def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
-    idx = np.nonzero(a != b)[0]
+    idx = np.nonzero((a != b) & ~(np.isnan(a) & np.isnan(b)))[0]
     if not len(idx):
         return "no differences"
     k = int(idx[0])
@@ -77,7 +82,7 @@ def verify_sequential(fixture: Fixture) -> VerificationReport:
     x = fixture.x_vector()
     y = spmv_seq(mat, x)
     oracle = spmv_sorted_oracle(mat, x)
-    same = np.array_equal(y.values, oracle.values)
+    same = _same(y.values, oracle.values)
     checks.append(CheckResult(
         "kernel-matches-oracle", same,
         "kernel output equals sorted-entry oracle exactly" if same
@@ -129,7 +134,7 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         local = extract_local(fixture.row_ptr, fixture.col_idx,
                               fixture.values, row_layout, col_layout, rank)
         expected = spmv_seq(local, full_x)
-        if not np.array_equal(report.per_rank_y[rank], expected.values):
+        if not _same(report.per_rank_y[rank], expected.values):
             per_rank_ok = False
             per_rank_detail = (f"rank {rank}: "
                                f"{_first_diff(report.per_rank_y[rank], expected.values)}")
@@ -139,7 +144,7 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     combined = (np.concatenate(report.per_rank_y) if report.per_rank_y
                 else np.array([]))
     seq_y = spmv_seq(fixture.matrix(), full_x)
-    concat_ok = np.array_equal(combined, seq_y.values)
+    concat_ok = _same(combined, seq_y.values)
     checks.append(CheckResult(
         "concatenation-matches-sequential", concat_ok,
         "concatenated rank slices equal the sequential result exactly"

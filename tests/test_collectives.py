@@ -1,5 +1,6 @@
 """Rendezvous semantics, determinism, misuse detection, and tracing."""
 
+import threading
 import time
 from collections import Counter
 
@@ -289,3 +290,27 @@ def test_timeout_backstop():
     engine = CollectiveEngine(2, timeout=0.2)
     with pytest.raises(CollectiveError, match="timed out"):
         engine.run(stubborn)
+
+
+def test_stuck_rank_cannot_hang_the_abort():
+    # rank 0 blocks outside any collective, so it never sees the abort
+    release = threading.Event()
+
+    def stuck(ctx):
+        if ctx.rank == 0:
+            release.wait()
+        return ctx.allreduce_sum(1.0)
+
+    engine = CollectiveEngine(2, timeout=0.3)
+    began = time.monotonic()
+    try:
+        with pytest.raises(CollectiveError, match=r"rank\(s\) \[0\] did not stop"):
+            engine.run(stuck)
+        assert time.monotonic() - began < 2 * 0.3 + 0.5
+    finally:
+        release.set()
+    for t in threading.enumerate():
+        if t.name == "sim-rank-0":
+            assert t.daemon
+            t.join(5.0)
+            assert not t.is_alive()

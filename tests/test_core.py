@@ -1,4 +1,6 @@
-"""CSR validation, the row-loop kernel, residual, and the two oracles."""
+"""CSR validation, both kernel paths, residual, and the two oracles."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from spmvsim import (
     spmv_sorted_oracle,
     validate_csr,
 )
+from spmvsim.core import SWEEP_MIN_ENTRIES_PER_STEP, _spmv_loop, _spmv_sweep
 
 # known product of the bundled reference instance
 REF_Z = [40, 0, 12, 113, 69, 27, 0, 45, 0, 57, 0, 0, 73, 36, 20, 0, 14, 77,
@@ -51,10 +54,10 @@ def csr_matrices(draw, unique_columns, values=NON_INTEGER):
 
 
 @st.composite
-def products(draw):
-    """A matrix without duplicate cells and an x of its width, both drawn
-    from FINITE."""
-    mat = draw(csr_matrices(unique_columns=True, values=FINITE))
+def products(draw, unique_columns=True):
+    """A matrix, without duplicate cells if unique_columns, and an x of its
+    width, both drawn from FINITE."""
+    mat = draw(csr_matrices(unique_columns=unique_columns, values=FINITE))
     x = draw(st.lists(FINITE, min_size=mat.N, max_size=mat.N))
     return mat, DenseVector.sequential(x)
 
@@ -68,6 +71,23 @@ def dense_by_entry_loop(mat):
         for p in range(rp[i], rp[i + 1]):
             dense[i, cj[p]] = av[p]
     return dense
+
+
+def residual_by_loop(y, z):
+    """Squared 2-norm of y - z in one left-to-right loop from 0.0: the
+    reference residual_sq must equal bit for bit."""
+    total = 0.0
+    for a, b in zip(y.tolist(), z.tolist()):
+        d = a - b
+        total += d * d
+    return total
+
+
+def repeated_rows(row_cols, row_values, copies):
+    """A sequential matrix of `copies` identical rows."""
+    k = len(row_cols)
+    return CsrMatrix.sequential(np.arange(copies + 1) * k, row_cols * copies,
+                                row_values * copies, n=max(row_cols) + 1)
 
 
 def small_matrix():
@@ -216,6 +236,66 @@ def test_spmv_accumulates_left_to_right():
     ones = DenseVector.sequential([1.0, 1.0, 1.0])
     assert spmv_seq(forward, ones).values[0] == 1.0
     assert spmv_seq(reversed_, ones).values[0] == 0.0
+
+
+ROWS = SWEEP_MIN_ENTRIES_PER_STEP
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=products(unique_columns=False))
+# a zero-row matrix
+@example(case=(CsrMatrix.sequential([0], [], [], n=3),
+               DenseVector.sequential([0.5, -1.5, 2.5])))
+# enough rows for the sweep, all of them empty
+@example(case=(CsrMatrix.sequential([0] * (ROWS + 1), [], [], n=2),
+               DenseVector.sequential([0.5, -1.5])))
+# +-0.0 against negative x: row 1's lone product is -0.0, which 0.0 + -0.0
+# turns into 0.0
+@example(case=(CsrMatrix.sequential([0, 2, 3], [2, 0, 1], [0.0, -0.0, 0.0], n=3),
+               DenseVector.sequential([-1.5, -2.5, 0.5])))
+# products that overflow to +inf and -inf, and inf + -inf = nan in row 2
+@example(case=(CsrMatrix.sequential([0, 1, 2, 4], [0, 1, 1, 0],
+                                    [1e300, -1e300, 1e300, -3e300], n=2),
+               DenseVector.sequential([1e10, 1e300])))
+# the order-sensitive row of test_spmv_accumulates_left_to_right, repeated
+# until the sweep would take it
+@example(case=(repeated_rows([0, 1, 2], [1e16, -1e16, 1.0], ROWS),
+               DenseVector.sequential([1.0, 1.0, 1.0])))
+# 1e16 then sixteen 1.0: added in order every 1.0 is lost, summed pairwise
+# they are not
+@example(case=(repeated_rows(list(range(17)), [1e16] + [1.0] * 16, ROWS),
+               DenseVector.sequential([1.0] * 17)))
+def test_sweep_equals_row_loop(case):
+    mat, x = case
+    assert _spmv_sweep(mat, x).tobytes() == _spmv_loop(mat, x).tobytes()
+
+
+def test_spmv_paths_stay_silent_on_overflow():
+    mat = CsrMatrix.sequential([0, 1], [0], [1e300], n=1)
+    x = DenseVector.sequential([1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _spmv_loop(mat, x).tolist() == [float("inf")]
+        assert _spmv_sweep(mat, x).tolist() == [float("inf")]
+        assert residual_sq(DenseVector.sequential([1e300]),
+                           DenseVector.sequential([-1e300])) == float("inf")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.integers(0, 40).flatmap(
+    lambda n: st.tuples(st.lists(FINITE, min_size=n, max_size=n),
+                        st.lists(FINITE, min_size=n, max_size=n))))
+@example(pair=([], []))
+@example(pair=([-0.0, 0.0], [0.0, -0.0]))
+# squares 1e16 then sixteen 1.0: added in order every 1.0 is lost, summed
+# pairwise (as np.sum does) they are not
+@example(pair=([1e8] + [1.0] * 16, [0.0] * 17))
+def test_residual_equals_loop(pair):
+    y, z = (DenseVector.sequential(v) for v in pair)
+    got = residual_sq(y, z)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(
+        residual_by_loop(y.values, z.values)).tobytes()
 
 
 def test_residual_zero_on_equal(ref):

@@ -6,6 +6,7 @@ import spmvsim.verify
 from spmvsim import (
     MAX_RANKS,
     CollectiveMismatch,
+    Fixture,
     GenParams,
     generate,
     reference_fixture,
@@ -65,6 +66,30 @@ def test_sequential_kernel_mismatch_names_the_entry(ref, monkeypatch):
     check = verify_sequential(ref).checks[0]
     assert check.name == "kernel-matches-oracle" and not check.passed
     assert check.detail == "first difference at index 3: 113.5 != 113.0"
+
+
+def nan_product_fixture():
+    """Finite entries whose products overflow to inf + -inf = nan."""
+    return Fixture(M=1, N=2, row_ptr=[0, 2], col_idx=[0, 1],
+                   values=[1e300, -1e300], x=[1e300, 1e300], z=[0.0])
+
+
+def test_nan_result_fails_only_the_residual():
+    # kernel and oracle agree on nan; only the residual may fail
+    reports = [verify_sequential(nan_product_fixture())]
+    reports += [verify_distributed(nan_product_fixture(), size)
+                for size in (1, 2)]
+    for report in reports:
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["residual-within-tolerance"]
+        assert failed[0].detail == "residualSq == nan"
+
+
+def test_first_diff_skips_shared_nan():
+    nan = float("nan")
+    detail = spmvsim.verify._first_diff(np.array([nan, 1.0, 2.0]),
+                                        np.array([nan, 1.0, 3.0]))
+    assert detail == "first difference at index 2: 2.0 != 3.0"
 
 
 def test_sequential_trivial_instance():
