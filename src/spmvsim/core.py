@@ -1,17 +1,13 @@
 """CSR matrix and dense vector containers plus the sequential kernels.
 
-The matrix type carries both local and global extents so the same container
-serves sequential use (local == global) and per-rank pieces of a block-row
-distributed matrix, where column indices remain global. The multiplication
-kernel accumulates each row left to right in storage order, so results are
-bitwise deterministic. It takes one of two paths that give the same bits: a
-position-major sweep over the rows sorted longest first (an ELLPACK/SELL-style
-traversal, one numpy step per entry position) when the matrix has enough rows
-per step to pay for numpy's dispatch, and a plain row loop otherwise. A
-sorted-entry oracle, O(nnz) in time and memory, provides the independent
-cross-check for the kernel that the rest of the package runs; the dense
-brute-force oracle is the paper's reference, which tests check the
-sorted-entry one against.
+Matrices carry local and global extents, so one container serves sequential
+use and the per-rank pieces of a block-row distribution (columns stay
+global). spmv_seq adds each row left to right in storage order on one of two
+paths with the same bits: a position-major sweep over the rows sorted longest
+first (ELLPACK/SELL-style, one numpy step per entry position) when there are
+rows enough to pay numpy's dispatch, else a plain row loop. The package
+checks it against spmv_sorted_oracle, an O(nnz) COO scatter-add in cell-key
+order; tests check that oracle against the paper's dense brute-force one.
 """
 
 from __future__ import annotations
@@ -166,13 +162,18 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     duplicate = None
     if not v:
         # sorted row-major cell keys sit side by side exactly when repeated
-        rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(rp))
-        keys = np.sort(rows * mat.N + cj)
+        keys = np.sort(_rows_and_keys(mat)[1])
         repeats = np.nonzero(keys[1:] == keys[:-1])[0]
         if len(repeats):
             duplicate = divmod(int(keys[repeats[0]]), mat.N)
             v.append(f"duplicate cell {duplicate} stored more than once")
     return ValidationReport(ok=not v, violations=v, duplicate_cell=duplicate)
+
+
+def _rows_and_keys(mat: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row of every stored entry, and its row-major cell key row * N + col."""
+    rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
+    return rows, rows * mat.N + mat.col_idx
 
 
 # a sweep step costs numpy dispatch worth about 15-30 loop entries, so the
@@ -278,9 +279,8 @@ def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
     cannot represent summed duplicates faithfully.
     """
     _require_valid(mat)
-    rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
     dense = np.zeros((mat.m, mat.N), dtype=np.float64)
-    dense[rows, mat.col_idx] = mat.values
+    dense[_rows_and_keys(mat)[0], mat.col_idx] = mat.values
     return DenseMatrix(m=mat.m, n=mat.N, values=dense)
 
 
@@ -302,22 +302,22 @@ def spmv_dense_oracle(dense: DenseMatrix, x: DenseVector) -> DenseVector:
 def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     """Sorted-entry product in O(nnz), the independent check for spmv_seq.
 
-    A COO copy of the entries is sorted by (row, column) and each row is
-    accumulated from 0.0 in ascending column order. For finite inputs this
-    is bitwise equal to spmv_dense_oracle(dense_from_csr(mat), x): a dense
-    row also adds the products of its empty cells, which are +-0.0, and a
-    sum that starts at +0.0 never becomes -0.0 under round-to-nearest, so
-    adding +-0.0 never changes it. Raises like dense_from_csr on an invalid
-    matrix and like spmv_dense_oracle on a width mismatch.
+    A COO scatter-add: np.add.at adds each product into its row in cell-key
+    (row * N + col) order, so each row is 0.0 + p0 + p1 + ... by ascending
+    column. For finite inputs that equals the dense oracle on dense_from_csr
+    bit for bit: a dense row's extra products are +-0.0, which never change a
+    sum begun at +0.0. The kernel gathers in storage order instead, with
+    other code and another order. np.add.at's index-order accumulation is
+    undocumented; test_sorted_oracle_output_is_pinned fails if it changes.
+    Raises like dense_from_csr and spmv_dense_oracle on bad input.
     """
     _require_valid(mat)
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
-    rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
-    order = np.lexsort((mat.col_idx, rows))
-    xs = x.values.tolist()
-    out = [0.0] * mat.m
-    for r, c, a in zip(rows[order].tolist(), mat.col_idx[order].tolist(),
-                       mat.values[order].tolist()):
-        out[r] += a * xs[c]
+    rows, keys = _rows_and_keys(mat)
+    order = np.argsort(keys, kind="stable")
+    out = np.zeros(mat.m, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = mat.values[order] * x.values[mat.col_idx[order]]
+        np.add.at(out, rows[order], prods)
     return DenseVector(n=mat.m, N=mat.m, values=out)

@@ -1,5 +1,6 @@
 """CSR validation, both kernel paths, residual, and the two oracles."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -71,6 +72,19 @@ def dense_by_entry_loop(mat):
         for p in range(rp[i], rp[i + 1]):
             dense[i, cj[p]] = av[p]
     return dense
+
+
+def oracle_by_entry_loop(mat, x):
+    """Entries lexsorted by (row, column), then one Python add per entry:
+    the reference spmv_sorted_oracle must equal bit for bit."""
+    rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
+    order = np.lexsort((mat.col_idx, rows))
+    xs = x.values.tolist()
+    out = [0.0] * mat.m
+    for r, c, a in zip(rows[order].tolist(), mat.col_idx[order].tolist(),
+                       mat.values[order].tolist()):
+        out[r] += a * xs[c]
+    return np.array(out, dtype=np.float64)
 
 
 def residual_by_loop(y, z):
@@ -277,6 +291,7 @@ def test_spmv_paths_stay_silent_on_overflow():
         warnings.simplefilter("error")
         assert _spmv_loop(mat, x).tolist() == [float("inf")]
         assert _spmv_sweep(mat, x).tolist() == [float("inf")]
+        assert spmv_sorted_oracle(mat, x).values.tolist() == [float("inf")]
         assert residual_sq(DenseVector.sequential([1e300]),
                            DenseVector.sequential([-1e300])) == float("inf")
 
@@ -357,6 +372,56 @@ def test_sorted_oracle_equals_dense_oracle(case):
     sorted_y = spmv_sorted_oracle(mat, x).values
     dense_y = spmv_dense_oracle(dense_from_csr(mat), x).values
     assert sorted_y.tobytes() == dense_y.tobytes()
+
+
+def order_sensitive_row(n, seed):
+    """One row of n entries in shuffled column order, with values whose sum
+    depends on the order they are added in."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    return (CsrMatrix.sequential([0, n], rng.permutation(n), values, n=n),
+            DenseVector.sequential(rng.normal(size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=products())
+# a zero-row matrix
+@example(case=(CsrMatrix.sequential([0], [], [], n=3),
+               DenseVector.sequential([0.5, -1.5, 2.5])))
+# many rows, all of them empty
+@example(case=(CsrMatrix.sequential([0] * (ROWS + 1), [], [], n=2),
+               DenseVector.sequential([0.5, -1.5])))
+# +-0.0 against negative x: row 1's lone product is -0.0, which 0.0 + -0.0
+# turns into 0.0
+@example(case=(CsrMatrix.sequential([0, 2, 3], [2, 0, 1], [0.0, -0.0, 0.0], n=3),
+               DenseVector.sequential([-1.5, -2.5, 0.5])))
+# products that overflow to +inf and -inf, and inf + -inf = nan, in one row
+@example(case=(CsrMatrix.sequential([0, 1, 2, 4], [0, 1, 1, 0],
+                                    [1e300, -1e300, 1e300, -3e300], n=2),
+               DenseVector.sequential([1e10, 1e300])))
+# 1e16, 1.0, -1e16 by ascending column, stored with the columns reversed
+@example(case=(CsrMatrix.sequential([0, 3], [2, 1, 0], [-1e16, 1.0, 1e16], n=3),
+               DenseVector.sequential([1.0, 1.0, 1.0])))
+# one row longer than the 8192-element buffer np.add.at works through
+@example(case=order_sensitive_row(10_000, seed=3))
+def test_sorted_oracle_equals_entry_loop(case):
+    mat, x = case
+    assert (spmv_sorted_oracle(mat, x).values.tobytes()
+            == oracle_by_entry_loop(mat, x).tobytes())
+
+
+def test_sorted_oracle_output_is_pinned():
+    # integer fixtures sum exactly in any order, so pin non-integer data
+    fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
+    rng = np.random.default_rng(7)
+    nnz = len(fx.values)
+    values = rng.normal(size=nnz) * 10.0 ** rng.integers(-8, 9, size=nnz)
+    mat = CsrMatrix.sequential(fx.row_ptr, fx.col_idx, values, n=fx.N)
+    y = spmv_sorted_oracle(mat, DenseVector.sequential(rng.normal(size=fx.N)))
+    assert hashlib.sha256(y.values.tobytes()).hexdigest().startswith(
+        "75f0adc0716ea043"), (
+        f"oracle output changed under NumPy {np.__version__}: np.add.at "
+        "may no longer accumulate in index order")
 
 
 def test_sorted_oracle_rejects_duplicates():
