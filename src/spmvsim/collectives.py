@@ -413,10 +413,6 @@ class RankContext:
             self.rank, "allreduce_sum", float(value), 1, _reduce_allreduce_sum)
 
 
-def run_ranks(size: int, program, *, mode: str = "parallel",
-              record_trace: bool = False, timeout: float = 60.0):
+def run_ranks(size: int, program, *, mode: str = "parallel"):
     """Run program(ctx) across size simulated ranks; results in rank order."""
-    engine = CollectiveEngine(size, mode=mode, record_trace=record_trace,
-                              timeout=timeout)
-    results = engine.run(program)
-    return results
+    return CollectiveEngine(size, mode=mode).run(program)

@@ -8,6 +8,8 @@ first (ELLPACK/SELL-style, one numpy step per entry position) when there are
 rows enough to pay numpy's dispatch, else a plain row loop. The package
 checks it against spmv_sorted_oracle, an O(nnz) COO scatter-add in cell-key
 order; tests check that oracle against the paper's dense brute-force one.
+Both trust the input boundary's validate_csr (fixture_io.validate_fixture)
+and check only that x is as wide as the matrix.
 """
 
 from __future__ import annotations
@@ -191,14 +193,11 @@ def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     two are bitwise equal: each row is 0.0 + p0 + p1 + ... in storage order
     on both, every product and every add is one correctly rounded IEEE
     operation, and separate numpy calls are never fused into an FMA or
-    reassociated. x must reach every referenced column; since indices are
-    global, a local piece is multiplied against the full-width vector.
+    reassociated. mat must have passed validate_csr and x.n must equal
+    mat.N: indices are global, so a local piece takes the full-width vector.
     """
-    if mat.nnz:
-        required = int(mat.col_idx.max()) + 1
-        if x.n < required:
-            raise SizeMismatch(
-                f"x has {x.n} entries but column indices reach {required - 1}")
+    if mat.N != x.n:
+        raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
     # nnz <= m * longest, so the rule needs m >= SWEEP_MIN_ENTRIES_PER_STEP
     # unless every row is empty; testing m first spares small rank blocks
     # the row lengths
@@ -263,22 +262,17 @@ def residual_sq(y: DenseVector, z: DenseVector) -> float:
         return float(np.cumsum(d * d)[-1])
 
 
-def _require_valid(mat: CsrMatrix) -> None:
-    """Raise DuplicateEntry on a cell stored twice and ValueError on any
-    other validate_csr violation."""
+def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
+    """Expand a CSR matrix into dense m x N storage.
+
+    Raises DuplicateEntry on a cell stored twice, since the dense form
+    cannot represent summed duplicates faithfully, and ValueError on any
+    other validate_csr violation.
+    """
     report = validate_csr(mat)
     if not report.ok:
         error = DuplicateEntry if report.duplicate_cell else ValueError
         raise error("invalid CSR: " + report.violations[0])
-
-
-def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
-    """Expand a CSR matrix into dense m x N storage.
-
-    Rejects matrices that store the same cell twice, since the dense form
-    cannot represent summed duplicates faithfully.
-    """
-    _require_valid(mat)
     dense = np.zeros((mat.m, mat.N), dtype=np.float64)
     dense[_rows_and_keys(mat)[0], mat.col_idx] = mat.values
     return DenseMatrix(m=mat.m, n=mat.N, values=dense)
@@ -309,9 +303,8 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     sum begun at +0.0. The kernel gathers in storage order instead, with
     other code and another order. np.add.at's index-order accumulation is
     undocumented; test_sorted_oracle_output_is_pinned fails if it changes.
-    Raises like dense_from_csr and spmv_dense_oracle on bad input.
+    Like spmv_seq, it needs a validated mat and x.n == mat.N.
     """
-    _require_valid(mat)
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
     rows, keys = _rows_and_keys(mat)

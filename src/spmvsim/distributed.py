@@ -90,7 +90,7 @@ def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     lists override them (and are checked eagerly, raising LayoutSumMismatch
     when they do not add up). The report carries per-rank result slices,
     the residual against the fixture's known product, and the gather path
-    actually taken.
+    actually taken. It trusts the fixture to pass validate_fixture.
     """
     # the engine checks size before the layouts are sized by it
     engine = CollectiveEngine(size, mode=mode, record_trace=record_trace)

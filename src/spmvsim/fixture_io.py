@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import spmv_sorted_oracle, validate_csr
+from .core import CsrMatrix, spmv_sorted_oracle, validate_csr
 from .fixtures import Fixture
 
 __all__ = ["FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
@@ -66,7 +66,9 @@ def validate_fixture(fixture: Fixture) -> None:
         if len(arr) != want:
             raise FixtureValidationError(
                 f"{name} has {len(arr)} entries, expected {want}")
-    report = validate_csr(fixture.matrix())
+    # the fixture's own arrays, which fixture.matrix() would copy
+    report = validate_csr(CsrMatrix.sequential(
+        fixture.row_ptr, fixture.col_idx, fixture.values, n=fixture.N))
     if not report.ok:
         raise FixtureValidationError("invalid CSR: " + report.violations[0])
     for name in ("values", "x", "z"):

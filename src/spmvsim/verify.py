@@ -3,7 +3,8 @@
 Each entry point evaluates every check it owns, never stopping at the first
 failure and never raising, and returns a report whose overall verdict is
 the conjunction of the individual outcomes. Details carry the observed
-numbers so a failing report is diagnosable on its own.
+numbers so a failing report is diagnosable on its own. A fixture that
+validate_fixture rejects gets one failed input-valid check and no other.
 """
 
 from __future__ import annotations
@@ -64,19 +65,24 @@ def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
     return f"first difference at index {k}: {float(a[k])!r} != {float(b[k])!r}"
 
 
+def _invalid_input(fixture: Fixture) -> CheckResult | None:
+    """The failed input-valid check of a fixture validate_fixture rejects."""
+    try:
+        validate_fixture(fixture)
+    except FixtureValidationError as exc:
+        return CheckResult("input-valid", False, str(exc))
+    return None
+
+
 def verify_sequential(fixture: Fixture) -> VerificationReport:
     """Check the sequential kernel of a fixture against its ground truth.
 
     Checks: exact agreement of the CSR kernel with the sorted-entry oracle
     (spmv_sorted_oracle, itself tested against the dense reference) and the
     squared residual against the stored product staying within tolerance.
-    A fixture that fails validate_fixture gets only a failed input-valid.
     """
-    try:
-        validate_fixture(fixture)
-    except FixtureValidationError as exc:
-        return VerificationReport(
-            checks=[CheckResult("input-valid", False, str(exc))])
+    if invalid := _invalid_input(fixture):
+        return VerificationReport(checks=[invalid])
     checks: list[CheckResult] = []
     mat = fixture.matrix()
     x = fixture.x_vector()
@@ -104,6 +110,8 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     the concatenation equalling the full sequential result, the residual
     within tolerance, and the gather path matching its prediction.
     """
+    if invalid := _invalid_input(fixture):
+        return VerificationReport(checks=[invalid])
     checks: list[CheckResult] = []
     try:
         row_layout = build_layout(fixture.M, size, explicit_row_sizes)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spmvsim import reference_fixture
+
+# non-integer floats, so a wrong placement or order cannot hide behind
+# exactly representable integers
+NON_INTEGER = st.floats(-1e3, 1e3, allow_nan=False).filter(
+    lambda v: not v.is_integer())
 
 
 @pytest.fixture

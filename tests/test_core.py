@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NON_INTEGER
 from spmvsim import (
     CsrMatrix,
     DenseVector,
@@ -28,11 +29,6 @@ from spmvsim.core import SWEEP_MIN_ENTRIES_PER_STEP, _spmv_loop, _spmv_sweep
 REF_Z = [40, 0, 12, 113, 69, 27, 0, 45, 0, 57, 0, 0, 73, 36, 20, 0, 14, 77,
          61, 36, 95, 4, 68, 12, 32, 141, 0, 148, 81, 0, 63, 51]
 
-
-# non-integer floats, so a wrong placement or order cannot hide behind
-# exactly representable integers
-NON_INTEGER = st.floats(-1e3, 1e3, allow_nan=False).filter(
-    lambda v: not v.is_integer())
 # every finite double too: signed zeros, subnormals, and magnitudes whose
 # products underflow to +-0.0 or overflow to +-inf
 FINITE = NON_INTEGER | st.floats(allow_nan=False, allow_infinity=False)
@@ -422,18 +418,6 @@ def test_sorted_oracle_output_is_pinned():
         "75f0adc0716ea043"), (
         f"oracle output changed under NumPy {np.__version__}: np.add.at "
         "may no longer accumulate in index order")
-
-
-def test_sorted_oracle_rejects_duplicates():
-    mat = CsrMatrix.sequential([0, 2], [1, 1], [2.0, 3.0], n=2)
-    with pytest.raises(DuplicateEntry, match=r"duplicate cell \(0, 1\)"):
-        spmv_sorted_oracle(mat, DenseVector.sequential([1.0, 2.0]))
-
-
-def test_sorted_oracle_rejects_invalid():
-    mat = CsrMatrix.sequential([1, 2], [0], [1.0], n=2)
-    with pytest.raises(ValueError, match="invalid CSR"):
-        spmv_sorted_oracle(mat, DenseVector.sequential([1.0, 2.0]))
 
 
 def test_sorted_oracle_rejects_width_mismatch():

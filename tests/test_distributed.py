@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import NON_INTEGER
 from spmvsim import (
+    MAX_RANKS,
+    Fixture,
     GatherPath,
     GenParams,
     LayoutSumMismatch,
@@ -13,6 +18,8 @@ from spmvsim import (
     reference_fixture,
     run_distributed,
     spmv_seq,
+    spmv_sorted_oracle,
+    verify_distributed,
 )
 
 
@@ -144,3 +151,68 @@ def test_report_carries_layouts(ref):
     assert report.row_layout.local_sizes == (7, 7, 6, 6, 6)
     assert report.col_layout.local_sizes == (8, 7, 7, 7, 7)
     assert report.col_layout.starts == (0, 8, 15, 22, 29)
+
+
+def with_oracle_z(fx):
+    """fx with z recomputed by the sorted-entry oracle."""
+    fx.z = spmv_sorted_oracle(fx.matrix(), fx.x_vector()).values
+    return fx
+
+
+def non_integer_reference():
+    """The reference structure with non-integer values and x."""
+    fx = reference_fixture()
+    fx.values = fx.values * 0.1 + 1 / 3
+    fx.x = fx.x / 7
+    return with_oracle_z(fx)
+
+
+@st.composite
+def splits(draw, total, size):
+    """None for the default block layout, or size block sizes that sum to
+    total, zero-size blocks included."""
+    if draw(st.booleans()):
+        return None
+    cuts = draw(st.lists(st.integers(0, total), min_size=size - 1,
+                         max_size=size - 1))
+    return np.diff([0, *sorted(cuts), total]).tolist()
+
+
+@st.composite
+def distributed_cases(draw):
+    """A fixture with non-integer values and columns in any order within a
+    row, a rank count, and row and column splits."""
+    m, n = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    rows = [draw(st.lists(st.integers(0, n - 1), unique=True))
+            for _ in range(m)]
+    col_idx = [j for row in rows for j in row]
+    fx = with_oracle_z(Fixture(
+        M=m, N=n, row_ptr=np.cumsum([0] + [len(r) for r in rows]),
+        col_idx=col_idx,
+        values=draw(st.lists(NON_INTEGER, min_size=len(col_idx),
+                             max_size=len(col_idx))),
+        x=draw(st.lists(NON_INTEGER, min_size=n, max_size=n)), z=[]))
+    size = draw(st.integers(1, 8))
+    return fx, size, draw(splits(m, size)), draw(splits(n, size))
+
+
+# rank counts stay within MAX_RANKS: a test never starts more threads
+@settings(max_examples=80, deadline=None)
+@given(case=distributed_cases())
+@example(case=(non_integer_reference(), MAX_RANKS, None, None))
+@example(case=(non_integer_reference(), MAX_RANKS,
+               [0] * (MAX_RANKS - 1) + [32], [36] + [0] * (MAX_RANKS - 1)))
+def test_distributed_run_equals_sequential(case):
+    fx, size, row_sizes, col_sizes = case
+    seq = spmv_seq(fx.matrix(), fx.x_vector()).values
+    runs = []
+    for mode in ("parallel", "serial"):
+        run = run_distributed(fx, size, row_sizes, col_sizes, mode=mode,
+                              record_trace=True)
+        assert np.concatenate(run.per_rank_y).tobytes() == seq.tobytes()
+        assert verify_distributed(fx, size, row_sizes, col_sizes,
+                                  mode=mode).overall
+        runs.append(run)
+    parallel, serial = runs
+    assert parallel.residual_sq.hex() == serial.residual_sq.hex()
+    assert parallel.trace.dump() == serial.trace.dump()

@@ -1,6 +1,9 @@
 """Structured verification reports."""
 
+import sys
+
 import numpy as np
+import pytest
 
 import spmvsim.verify
 from spmvsim import (
@@ -8,10 +11,16 @@ from spmvsim import (
     CollectiveMismatch,
     Fixture,
     GenParams,
+    export_matrix_market,
     generate,
+    import_matrix_market,
+    read_fixture,
     reference_fixture,
+    run_distributed,
+    validate_csr,
     verify_distributed,
     verify_sequential,
+    write_fixture,
 )
 
 
@@ -39,19 +48,83 @@ def test_sequential_detects_corrupt_z(ref):
     assert len(report.checks) == 2
 
 
-def test_sequential_invalid_input_is_a_failed_check():
-    duplicate, non_finite = reference_fixture(), reference_fixture()
-    short_z = reference_fixture()
+def invalid_fixtures():
+    """Fixtures that fail validate_fixture, each with the text its failed
+    input-valid check must name."""
+    duplicate, non_finite, short_z, short_ptr, long_ptr, offset_ptr = (
+        reference_fixture() for _ in range(6))
     duplicate.col_idx[3] = duplicate.col_idx[2]
-    non_finite.x[4] = float("inf")
+    non_finite.x[4] = float("inf")  # column 4 is never stored
     short_z.z = short_z.z[:-1]
-    for fx, named in ((duplicate, "duplicate cell (3, 1)"),
-                      (non_finite, "non-finite x[4] = inf"),
-                      (short_z, "z has 31 entries, expected 32")):
-        report = verify_sequential(fx)
-        assert not report.overall
-        assert check_names(report) == ["input-valid"]
-        assert named in report.checks[0].detail
+    short_ptr.row_ptr = short_ptr.row_ptr[:-1]
+    long_ptr.row_ptr[-1] = 60
+    offset_ptr.row_ptr[0] = 1
+    return [
+        (duplicate, "duplicate cell (3, 1)"),
+        (non_finite, "non-finite x[4] = inf"),
+        (short_z, "z has 31 entries, expected 32"),
+        (short_ptr, "row_ptr has 32 entries, expected 33"),
+        (long_ptr, "row_ptr[m] = 60 != stored entry count 49"),
+        (offset_ptr, "row_ptr[0] != 0 (got 1)"),
+        # one-row matrices: a cell stored twice, a row pointer off zero
+        (Fixture(M=1, N=2, row_ptr=[0, 2], col_idx=[1, 1], values=[2.0, 3.0],
+                 x=[1.0, 2.0], z=[10.0]), "duplicate cell (0, 1)"),
+        (Fixture(M=1, N=2, row_ptr=[1, 2], col_idx=[0], values=[1.0],
+                 x=[1.0, 2.0], z=[1.0]), "row_ptr[0] != 0 (got 1)"),
+    ]
+
+
+def test_sequential_invalid_input_is_a_failed_check():
+    # both verifiers gate on validate_fixture before anything else runs
+    for fx, named in invalid_fixtures():
+        reports = [verify_sequential(fx)]
+        reports += [verify_distributed(fx, size, mode=mode)
+                    for size in (1, 2) for mode in ("parallel", "serial")]
+        for report in reports:
+            assert not report.overall
+            assert check_names(report) == ["input-valid"]
+            assert named in report.checks[0].detail
+
+
+@pytest.fixture
+def validate_csr_calls(monkeypatch):
+    """Every validate_csr call made through a package module, by entry count."""
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.nnz)
+        return validate_csr(mat)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "spmvsim" and name != "spmvsim"
+                and getattr(module, "validate_csr", None) is validate_csr):
+            monkeypatch.setattr(module, "validate_csr", counting)
+    return calls
+
+
+def test_validate_csr_runs_once_per_checked_call(tmp_path, validate_csr_calls):
+    # input is validated once at the boundary; the generator builds valid
+    # matrices and the kernel, oracle and distributed run trust their input
+    fx = reference_fixture()
+    write_fixture(fx, tmp_path / "ref.fx")
+    export_matrix_market(fx, tmp_path / "ref.mtx")
+    calls = {
+        "generate": (0, lambda: generate(GenParams(M=20, N=30, row_fill=5))),
+        "read_fixture": (1, lambda: read_fixture(tmp_path / "ref.fx")),
+        "read_fixture unchecked": (1, lambda: read_fixture(
+            tmp_path / "ref.fx", check_ground_truth=False)),
+        "import_matrix_market": (
+            1, lambda: import_matrix_market(tmp_path / "ref.mtx")),
+        "verify_sequential": (1, lambda: verify_sequential(fx)),
+        "verify_distributed": (1, lambda: verify_distributed(fx, 2)),
+        "run_distributed": (0, lambda: run_distributed(fx, 2)),
+    }
+    counts = {}
+    for name, (_, call) in calls.items():
+        validate_csr_calls.clear()
+        call()
+        counts[name] = len(validate_csr_calls)
+    assert counts == {name: want for name, (want, _) in calls.items()}
 
 
 def test_sequential_kernel_mismatch_names_the_entry(ref, monkeypatch):
