@@ -4,7 +4,10 @@ K logical ranks run the same program, each on its own thread. A collective
 call deposits the rank's contribution and blocks until every rank has
 contributed to the same generation; results are then computed once, in
 ascending rank order, so the outcome is a pure function of the contributions
-and never of thread scheduling.
+and never of thread scheduling. Waiters wake only on what can end a wait: a
+generation ending (complete, mismatched or deserted), the serial baton moving,
+a rank returning, or an abort; a deposit that leaves its generation open wakes
+nobody, so in parallel mode a collective wakes each waiter once.
 
 Two execution modes produce bitwise identical results:
 
@@ -167,7 +170,7 @@ class CollectiveEngine:
     One engine corresponds to one run; run() may be called once. All shared
     state is guarded by a single condition variable, including the serial
     mode turn baton, so every blocking wait can also be released by the
-    abort path.
+    abort path, and it is notified only when some wait can end.
     """
 
     def __init__(self, size: int, *, mode: str = "parallel",
@@ -274,17 +277,18 @@ class CollectiveEngine:
             self._finished[rank] = True
             if self.mode == "serial" and self._turn == rank:
                 self._advance_turn()
-            # a rank that returns while peers sit in a rendezvous would
-            # deadlock a real run; fail those generations instead
             for seq, gen in self._generations.items():
-                if gen.done:
-                    continue
-                missing = [r for r in range(self.size) if r not in gen.deposited]
-                if missing and all(self._finished[r] for r in missing):
-                    gen.fail(CollectiveMismatch,
-                             f"rank(s) {missing} finished without joining "
-                             f"'{gen.op}' at seq {seq}")
+                self._fail_if_deserted(seq, gen)
             self._cond.notify_all()
+
+    def _fail_if_deserted(self, seq: int, gen: _Generation) -> None:
+        # under self._cond; a generation whose missing ranks have all
+        # returned can never complete and would deadlock a real run
+        missing = [r for r in range(self.size) if r not in gen.deposited]
+        if not gen.done and missing and all(self._finished[r] for r in missing):
+            gen.fail(CollectiveMismatch,
+                     f"rank(s) {missing} finished without joining "
+                     f"'{gen.op}' at seq {seq}")
 
     def _advance_turn(self) -> None:
         # under self._cond; pass the baton to the next unfinished rank
@@ -313,7 +317,8 @@ class CollectiveEngine:
             if self.trace is not None:
                 self.trace._append(TraceRecord(seq=seq, op=op, rank=rank,
                                                length=length))
-            if not gen.done and gen.op != op:
+            was_done = gen.done
+            if not was_done and gen.op != op:
                 gen.fail(CollectiveMismatch,
                          f"collective mismatch at seq {seq}: rank {rank} "
                          f"called '{op}' while '{gen.op}' is in progress")
@@ -328,16 +333,12 @@ class CollectiveEngine:
                     except Exception as exc:  # reducer bug; fail loudly everywhere
                         gen.fail(CollectiveError, f"reducer failed: {exc!r}")
                     gen.done = True
-                else:
-                    missing = [r for r in range(self.size)
-                               if r not in gen.deposited]
-                    if all(self._finished[r] for r in missing):
-                        gen.fail(CollectiveMismatch,
-                                 f"rank(s) {missing} finished without joining "
-                                 f"'{op}' at seq {seq}")
-            self._cond.notify_all()
-            if self.mode == "serial" and self._turn == rank:
+            self._fail_if_deserted(seq, gen)
+            handed_over = self.mode == "serial" and self._turn == rank
+            if handed_over:
                 self._advance_turn()
+            # an open generation with the baton unmoved releases no waiter
+            if handed_over or gen.done != was_done:
                 self._cond.notify_all()
             while True:
                 self._check_abort()

@@ -192,12 +192,11 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
         if name not in arrays:
             raise FixtureFormatError(f"missing field '{name}'")
     M, N, nnz = scalars["rows"], scalars["cols"], scalars["nnz"]
-    expected_lengths = {"rowptr": M + 1, "colidx": nnz, "values": nnz,
-                        "x": N, "z": M}
-    for name, want in expected_lengths.items():
-        if len(arrays[name]) != want:
+    # only the header states nnz; validate_fixture checks the other lengths
+    for name in ("colidx", "values"):
+        if len(arrays[name]) != nnz:
             raise FixtureFormatError(
-                f"{name} has {len(arrays[name])} entries, expected {want}")
+                f"{name} has {len(arrays[name])} entries, expected {nnz}")
     fixture = Fixture(M=M, N=N, row_ptr=arrays["rowptr"],
                       col_idx=arrays["colidx"], values=arrays["values"],
                       x=arrays["x"], z=arrays["z"], metadata=metadata)
@@ -228,15 +227,15 @@ def companion_x_path(matrix_path) -> Path:
     return Path(matrix_path).with_suffix(".x.mtx")
 
 
-def export_matrix_market(fixture: Fixture, dest, x_dest=None) -> Path:
+def export_matrix_market(fixture: Fixture, dest) -> Path:
     """Write the matrix as coordinate real general plus an x array file.
 
     Entries are 1-based and sorted by (row, column). Returns the path the
-    companion x file was written to (x_dest or derived from dest). z is not
+    companion x file was written to, companion_x_path(dest). z is not
     written; importers recompute it.
     """
     dest = Path(dest)
-    x_path = Path(x_dest) if x_dest is not None else companion_x_path(dest)
+    x_path = companion_x_path(dest)
     rp = fixture.row_ptr.tolist()
     cj = fixture.col_idx.tolist()
     av = fixture.values.tolist()

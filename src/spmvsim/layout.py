@@ -102,7 +102,6 @@ def extract_local(row_ptr, col_idx, values, row_layout: Layout,
     cstart = col_layout.starts[rank]
     base = int(rp[rstart])
     stop = int(rp[rend])
-    local_ptr = rp[rstart:rend + 1] - base
     return CsrMatrix(
         m=rend - rstart,
         n=col_layout.local_sizes[rank],
@@ -110,7 +109,7 @@ def extract_local(row_ptr, col_idx, values, row_layout: Layout,
         N=col_layout.total,
         rstart=rstart,
         cstart=cstart,
-        row_ptr=local_ptr.copy(),
+        row_ptr=rp[rstart:rend + 1] - base,
         col_idx=cj[base:stop].copy(),
         values=av[base:stop].copy(),
     )

@@ -170,6 +170,15 @@ def test_duplicate_cell_file_is_a_data_error(tmp_path, capsys, argv):
     assert "duplicate cell (0, 1)" in capsys.readouterr().err
 
 
+def test_short_array_file_is_a_data_error(tmp_path, capsys):
+    def shorten(fx):
+        fx.z = fx.z[:-1]
+
+    path = write_ref(tmp_path, shorten)
+    assert main(["run", "--fixture", str(path)]) == 2
+    assert "z has 31 entries, expected 32" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["values", "x", "z"])
 def test_non_finite_file_is_a_data_error(tmp_path, capsys, field):
     def poison(fx):

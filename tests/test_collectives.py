@@ -1,5 +1,6 @@
 """Rendezvous semantics, determinism, misuse detection, and tracing."""
 
+import sys
 import threading
 import time
 from collections import Counter
@@ -114,27 +115,50 @@ def test_sequence_mismatch_detected():
         run_ranks(2, program)
 
 
-def test_desertion_detected_instead_of_deadlock():
+# the deserter returns after joining the first `joined` of its peers' two
+# collectives; joined=1 makes it desert mid-run
+DESERTION_CASES = pytest.mark.parametrize("size, mode, joined", [
+    (size, mode, joined) for size in (2, 8)
+    for mode in ("parallel", "serial") for joined in (0, 1)])
+
+
+@DESERTION_CASES
+def test_desertion_detected_instead_of_deadlock(size, mode, joined):
+    # the last rank returns while its peers wait, so its return finds the
+    # desertion
     def program(ctx):
-        if ctx.rank == 0:
-            return ctx.allreduce_sum(1.0)
-        return None
-
-    with pytest.raises(CollectiveMismatch, match="finished without joining"):
-        run_ranks(2, program)
-
-
-def test_late_collective_against_finished_peer():
-    # reverse of desertion: the early rank finishes first, then the slow
-    # rank deposits; detection happens at deposit time
-    def program(ctx):
-        if ctx.rank == 0:
+        if ctx.rank == size - 1:
+            for _ in range(joined):
+                ctx.allreduce_sum(1.0)
+            time.sleep(0.02)
             return None
-        time.sleep(0.02)
+        ctx.allreduce_sum(1.0)
         return ctx.allreduce_sum(1.0)
 
-    with pytest.raises(CollectiveMismatch):
-        run_ranks(2, program)
+    with pytest.raises(CollectiveMismatch, match=(
+            rf"rank\(s\) \[{size - 1}\] finished without joining "
+            rf"'allreduce_sum' at seq {joined}$")):
+        run_ranks(size, program, mode=mode)
+
+
+@DESERTION_CASES
+def test_late_collective_against_finished_peer(size, mode, joined):
+    # reverse of desertion: rank 0 finishes first, then the slow ranks
+    # deposit; detection happens at deposit time
+    def program(ctx):
+        if ctx.rank == 0:
+            for _ in range(joined):
+                ctx.allreduce_sum(1.0)
+            return None
+        for seq in range(2):
+            if seq == joined:
+                time.sleep(0.02)
+            ctx.allreduce_sum(1.0)
+
+    with pytest.raises(CollectiveMismatch, match=(
+            r"rank\(s\) \[0\] finished without joining "
+            rf"'allreduce_sum' at seq {joined}$")):
+        run_ranks(size, program, mode=mode)
 
 
 def test_unequal_allgather_blocks_detected():
@@ -210,6 +234,45 @@ def _jittery(ctx):
     time.sleep(0.0005 * ((ctx.rank + 1) % 2))
     total = ctx.allreduce_sum(float(offset) * 0.5)
     return offset, gathered.tolist(), total
+
+
+@pytest.mark.parametrize("size", [8, MAX_RANKS])
+def test_modes_agree_at_scale_without_lost_wakeups(size):
+    # a lost wake-up strands a waiter; the short timeout turns that into a
+    # failure within seconds instead of a stall, and a short switch interval
+    # interleaves the ranks more finely than the default
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = {mode: CollectiveEngine(size, mode=mode,
+                                       timeout=10).run(_jittery)
+                for mode in ("parallel", "serial")}
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs["parallel"] == runs["serial"]
+    offsets = [r * (r + 1) // 2 for r in range(size)]  # exscan of r + 1
+    gathered = [float(v) for r in range(size) for v in (r, offsets[r])]
+    assert runs["parallel"] == [
+        (offsets[r], gathered, sum(float(o) * 0.5 for o in offsets))
+        for r in range(size)]
+
+
+@pytest.mark.parametrize("mode, most", [("parallel", 10 + 8), ("serial", 88)])
+def test_collective_wakes_waiters_once_per_generation(mode, most):
+    # ten allreduces at K=8: a deposit that leaves its generation open and
+    # the serial baton in place must not notify; generation ends, baton
+    # moves and rank returns may
+    engine = CollectiveEngine(8, mode=mode)
+    calls = []
+    notify_all = engine._cond.notify_all
+
+    def counting_notify_all():
+        calls.append(None)
+        notify_all()
+
+    engine._cond.notify_all = counting_notify_all
+    engine.run(lambda ctx: [ctx.allreduce_sum(1.0) for _ in range(10)])
+    assert len(calls) <= most
 
 
 def test_modes_produce_identical_results():

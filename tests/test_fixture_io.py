@@ -360,15 +360,30 @@ def test_mm_rejects_non_finite(tmp_path, ref):
         import_matrix_market(path)
 
 
-@pytest.mark.parametrize("field, length, named", [
+SHORT_ARRAYS = pytest.mark.parametrize("field, length, named", [
     ("z", 31, "z has 31 entries, expected 32"),
     ("x", 35, "x has 35 entries, expected 36"),
     ("row_ptr", 32, "row_ptr has 32 entries, expected 33"),
 ])
+
+
+@SHORT_ARRAYS
 def test_validate_fixture_checks_extents(ref, field, length, named):
     setattr(ref, field, getattr(ref, field)[:length])
     with pytest.raises(FixtureValidationError, match=named):
         validate_fixture(ref)
+
+
+@SHORT_ARRAYS
+def test_read_fixture_checks_extents_in_validate_fixture(tmp_path, ref, field,
+                                                         length, named):
+    # the file states each array's own length, so only the extents are off;
+    # the reader leaves that check to validate_fixture
+    setattr(ref, field, getattr(ref, field)[:length])
+    path = tmp_path / "short.fx"
+    write_fixture(ref, path)
+    with pytest.raises(FixtureValidationError, match=named):
+        read_fixture(path)
 
 
 # -- parser fuzzing ---------------------------------------------------------
