@@ -178,6 +178,12 @@ def _rows_and_keys(mat: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows * mat.N + mat.col_idx
 
 
+def _cell_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Stable argsort of the row-major cell keys rows * n + cols: the order
+    the sorted-entry oracle sums in and Matrix Market I/O stores entries in."""
+    return np.argsort(rows * n + cols, kind="stable")
+
+
 # a sweep step costs numpy dispatch worth about 15-30 loop entries, so the
 # sweep needs at least this many entries per step on average to win
 SWEEP_MIN_ENTRIES_PER_STEP = 32
@@ -307,10 +313,10 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     """
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
-    rows, keys = _rows_and_keys(mat)
-    order = np.argsort(keys, kind="stable")
+    rows = _rows_and_keys(mat)[0]
+    order = _cell_order(rows, mat.col_idx, mat.N)
     out = np.zeros(mat.m, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         prods = mat.values[order] * x.values[mat.col_idx[order]]
         np.add.at(out, rows[order], prods)
-    return DenseVector(n=mat.m, N=mat.m, values=out)
+    return DenseVector(n=mat.m, N=mat.M, values=out)

@@ -18,9 +18,9 @@ parser, not by downstream index errors. Floats are written with repr so a
 read of a write restores them bit for bit.
 
 Matrix Market export writes the matrix as a 1-based coordinate real general
-file with entries sorted by (row, column) plus a companion array file for
-x next to it; z is not representable in the format and is recomputed from
-the sorted-entry oracle on import.
+file in cell-key order, the order the sorted-entry oracle sums in, plus an
+array file for x next to it. Import accepts entries in any order; z is not
+in the format and is recomputed from the sorted-entry oracle on import.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CsrMatrix, spmv_sorted_oracle, validate_csr
+from .core import (CsrMatrix, _cell_order, _rows_and_keys,
+                   spmv_sorted_oracle, validate_csr)
 from .fixtures import Fixture
 
 __all__ = ["FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
@@ -97,10 +98,6 @@ def _int64(token: str) -> int:
     return value
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
 def write_fixture(fixture: Fixture, dest) -> None:
     """Write a fixture in the canonical text format.
 
@@ -114,13 +111,10 @@ def write_fixture(fixture: Fixture, dest) -> None:
     lines.append(f"nnz {fixture.nnz}")
     for key, value in fixture.metadata.items():
         lines.append(f"meta {key} {value}")
-    for name, arr, fmt in (
-            ("rowptr", fixture.row_ptr, str),
-            ("colidx", fixture.col_idx, str),
-            ("values", fixture.values, _fmt_float),
-            ("x", fixture.x, _fmt_float),
-            ("z", fixture.z, _fmt_float)):
-        body = " ".join(fmt(v) for v in arr.tolist())
+    # repr of a Python int is its str, so one rule serves every array
+    for name, arr in zip(_ARRAY_FIELDS, (fixture.row_ptr, fixture.col_idx,
+                                         fixture.values, fixture.x, fixture.z)):
+        body = " ".join(map(repr, arr.tolist()))
         lines.append(f"{name} {len(arr)} {body}".rstrip())
     Path(dest).write_text("\n".join(lines) + "\n")
 
@@ -216,7 +210,7 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
 # -- Matrix Market ----------------------------------------------------------
 
 _MM_BANNER = "%%MatrixMarket"
-# validate_csr's cell keys row * N + col are int64, and numpy refuses
+# core._cell_order's cell keys row * N + col are int64, and numpy refuses
 # arrays of 2**63 bytes or more; below this bound neither the keys nor the
 # M + 1 eight-byte row pointers reach those limits
 _MAX_CELLS = 2**59
@@ -230,26 +224,24 @@ def companion_x_path(matrix_path) -> Path:
 def export_matrix_market(fixture: Fixture, dest) -> Path:
     """Write the matrix as coordinate real general plus an x array file.
 
-    Entries are 1-based and sorted by (row, column). Returns the path the
-    companion x file was written to, companion_x_path(dest). z is not
-    written; importers recompute it.
+    Entries are 1-based and in cell-key order, by row and then column, for a
+    fixture that has passed validate_fixture, as the readers' output has; on
+    any other the line order is unspecified. Returns companion_x_path(dest),
+    where the x file went. z is not written; importers recompute it.
     """
     dest = Path(dest)
     x_path = companion_x_path(dest)
-    rp = fixture.row_ptr.tolist()
-    cj = fixture.col_idx.tolist()
-    av = fixture.values.tolist()
-    entries = []
-    for i in range(fixture.M):
-        row = sorted((cj[p], av[p]) for p in range(rp[i], rp[i + 1]))
-        entries.extend((i + 1, j + 1, v) for j, v in row)
+    rows = _rows_and_keys(CsrMatrix.sequential(
+        fixture.row_ptr, fixture.col_idx, fixture.values, n=fixture.N))[0]
+    order = _cell_order(rows, fixture.col_idx, fixture.N)
     lines = [f"{_MM_BANNER} matrix coordinate real general",
              f"{fixture.M} {fixture.N} {fixture.nnz}"]
-    lines.extend(f"{r} {c} {_fmt_float(v)}" for r, c, v in entries)
+    lines.extend(f"{r} {c} {v!r}" for r, c, v in zip(
+        (rows[order] + 1).tolist(), (fixture.col_idx[order] + 1).tolist(),
+        fixture.values[order].tolist()))
     dest.write_text("\n".join(lines) + "\n")
-    x_lines = [f"{_MM_BANNER} matrix array real general",
-               f"{fixture.N} 1"]
-    x_lines.extend(_fmt_float(v) for v in fixture.x.tolist())
+    x_lines = [f"{_MM_BANNER} matrix array real general", f"{fixture.N} 1",
+               *map(repr, fixture.x.tolist())]
     x_path.write_text("\n".join(x_lines) + "\n")
     return x_path
 
@@ -347,7 +339,7 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
     if len(body) - 1 != nnz:
         raise FixtureFormatError(
             f"{source}: expected {nnz} entries, got {len(body) - 1}")
-    triples = []
+    rows, cols, vals = [], [], []
     for stripped, lineno in zip(body[1:], numbers[1:]):
         tokens = stripped.split()
         if len(tokens) != 3:
@@ -362,13 +354,13 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
         if not (1 <= r <= M and 1 <= c <= N):
             raise FixtureFormatError(
                 f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}", lineno)
-        triples.append((r - 1, c - 1, v))
-    triples.sort(key=lambda t: (t[0], t[1]))
-    rows = np.array([r for r, _, _ in triples], dtype=np.int64)
+        rows.append(r - 1)
+        cols.append(c - 1)
+        vals.append(v)
+    rows, cols = np.array([rows, cols], dtype=np.int64)
+    order = _cell_order(rows, cols, N)
     row_ptr = np.zeros(M + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=M), out=row_ptr[1:])
-    col_idx = np.array([c for _, c, _ in triples], dtype=np.int64)
-    values = np.array([v for _, _, v in triples], dtype=np.float64)
     metadata = {"source": "matrix-market"}
     x_path = Path(x_source) if x_source is not None else companion_x_path(source)
     if x_path.exists():
@@ -381,8 +373,9 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
         x = rng.integers(1, 10, size=N).astype(np.float64)
         metadata["x_source"] = f"generated seed={x_seed}"
     # zeros stand in for z until the parsed arrays have passed the boundary
-    fixture = Fixture(M=M, N=N, row_ptr=row_ptr, col_idx=col_idx,
-                      values=values, x=x, z=np.zeros(M), metadata=metadata)
+    fixture = Fixture(M=M, N=N, row_ptr=row_ptr, col_idx=cols[order],
+                      values=np.array(vals, dtype=np.float64)[order], x=x,
+                      z=np.zeros(M), metadata=metadata)
     validate_fixture(fixture)
     fixture.z = spmv_sorted_oracle(fixture.matrix(), fixture.x_vector()).values
     # finite entries can still overflow to a non-finite product

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import NON_INTEGER
+from conftest import NON_INTEGER, csr_matrices
 from spmvsim import (
     CsrMatrix,
     DenseVector,
     DuplicateEntry,
     GenParams,
     SizeMismatch,
+    build_layout,
     dense_from_csr,
+    extract_local,
     generate,
     residual_sq,
     spmv_dense_oracle,
@@ -32,22 +34,6 @@ REF_Z = [40, 0, 12, 113, 69, 27, 0, 45, 0, 57, 0, 0, 73, 36, 20, 0, 14, 77,
 # every finite double too: signed zeros, subnormals, and magnitudes whose
 # products underflow to +-0.0 or overflow to +-inf
 FINITE = NON_INTEGER | st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def csr_matrices(draw, unique_columns, values=NON_INTEGER):
-    """Small sequential matrices with unsorted columns within each row;
-    rows may be empty, and repeat a column unless unique_columns."""
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(0, 6))
-    cols = st.lists(st.integers(0, n - 1), unique=unique_columns,
-                    max_size=n if unique_columns else n + 2)
-    rows = [draw(cols) for _ in range(m)]
-    col_idx = [j for row in rows for j in row]
-    values = draw(st.lists(values, min_size=len(col_idx),
-                           max_size=len(col_idx)))
-    row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
-    return CsrMatrix.sequential(row_ptr.astype(np.int64), col_idx, values, n=n)
 
 
 @st.composite
@@ -430,6 +416,14 @@ def test_oracle_matches_kernel_on_reference(ref):
     x = ref.x_vector()
     y = spmv_seq(mat, x)
     oracle = spmv_dense_oracle(dense_from_csr(mat), x)
+    assert np.array_equal(y.values, oracle.values)
+    # rank 1's block at K = 3: the sorted-entry oracle reports the kernel's
+    # local and global lengths
+    local = extract_local(ref.row_ptr, ref.col_idx, ref.values,
+                          build_layout(ref.M, 3), build_layout(ref.N, 3), 1)
+    y = spmv_seq(local, x)
+    oracle = spmv_sorted_oracle(local, x)
+    assert (oracle.n, oracle.N) == (y.n, y.N) == (11, 32)
     assert np.array_equal(y.values, oracle.values)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_fixture_equal
+from conftest import NON_INTEGER, assert_fixture_equal, csr_matrices
 from spmvsim import (
     FORMAT_HEADER,
     Fixture,
@@ -21,6 +21,7 @@ from spmvsim import (
     import_matrix_market,
     read_fixture,
     reference_fixture,
+    spmv_sorted_oracle,
     validate_fixture,
     verify_sequential,
     write_fixture,
@@ -495,3 +496,75 @@ def test_non_text_file_is_a_format_error(tmp_path):
     for read in (read_fixture, import_matrix_market):
         with pytest.raises(FixtureFormatError):
             read(path)
+
+
+def export_by_row_sort(fixture, dest):
+    """Each row's (column, value) pairs sorted in Python, one row at a
+    time: the reference export_matrix_market must equal byte for byte."""
+    rp, cj = fixture.row_ptr.tolist(), fixture.col_idx.tolist()
+    av = fixture.values.tolist()
+    lines = ["%%MatrixMarket matrix coordinate real general",
+             f"{fixture.M} {fixture.N} {fixture.nnz}"]
+    for i in range(fixture.M):
+        row = sorted((cj[p], av[p]) for p in range(rp[i], rp[i + 1]))
+        lines.extend(f"{i + 1} {j + 1} {v!r}" for j, v in row)
+    Path(dest).write_text("\n".join(lines) + "\n")
+    companion_x_path(dest).write_text("\n".join(
+        ["%%MatrixMarket matrix array real general", f"{fixture.N} 1"]
+        + [repr(v) for v in fixture.x.tolist()]) + "\n")
+
+
+def import_by_triple_sort(source):
+    """A valid file and its companion x file, with the (row, col, value)
+    triples sorted by cell in Python: the reference import_matrix_market
+    must equal array for array."""
+    def body(path):
+        return [ln.split() for ln in Path(path).read_text().splitlines()[1:]
+                if ln.strip() and not ln.lstrip().startswith("%")]
+    (M, N, _), *entries = body(source)
+    M, N = int(M), int(N)
+    triples = [(int(r) - 1, int(c) - 1, float(v)) for r, c, v in entries]
+    triples.sort(key=lambda t: (t[0], t[1]))
+    counts = np.bincount(np.array([r for r, _, _ in triples], dtype=np.int64),
+                         minlength=M)
+    fx = Fixture(M=M, N=N, row_ptr=np.concatenate([[0], np.cumsum(counts)]),
+                 col_idx=[c for _, c, _ in triples],
+                 values=[v for _, _, v in triples],
+                 x=[float(v) for (v,) in body(companion_x_path(source))[1:]],
+                 z=np.zeros(M), metadata={"source": "matrix-market",
+                                          "x_source": "companion-file"})
+    fx.z = spmv_sorted_oracle(fx.matrix(), fx.x_vector()).values
+    return fx
+
+
+@st.composite
+def valid_fixtures(draw):
+    """Valid fixtures with unsorted columns, empty rows and non-integer
+    values and x."""
+    mat = draw(csr_matrices(unique_columns=True).filter(lambda m: m.m >= 1))
+    x = draw(st.lists(NON_INTEGER, min_size=mat.N, max_size=mat.N))
+    fx = Fixture(M=mat.M, N=mat.N, row_ptr=mat.row_ptr, col_idx=mat.col_idx,
+                 values=mat.values, x=x, z=np.zeros(mat.M))
+    fx.z = spmv_sorted_oracle(fx.matrix(), fx.x_vector()).values
+    return fx
+
+
+@settings(max_examples=200, deadline=None)
+@given(fx=valid_fixtures(), data=st.data())
+def test_mm_io_equals_sort_references(fx, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        export_matrix_market(fx, tmp / "new.mtx")
+        export_by_row_sort(fx, tmp / "ref.mtx")
+        for name in ("ref.mtx", "ref.x.mtx"):
+            assert ((tmp / name.replace("ref", "new")).read_bytes()
+                    == (tmp / name).read_bytes())
+        # entry lines in any order, with comment lines among them
+        head, *entries = (tmp / "ref.mtx").read_text().splitlines()
+        size, *entries = entries
+        lines = data.draw(st.permutations(entries))
+        for k in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+            lines.insert(k, "% comment")
+        (tmp / "ref.mtx").write_text("\n".join([head, size, *lines]) + "\n")
+        back = import_matrix_market(tmp / "ref.mtx")
+        assert_fixture_equal(back, import_by_triple_sort(tmp / "ref.mtx"))
