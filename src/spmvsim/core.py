@@ -164,7 +164,7 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     duplicate = None
     if not v:
         # sorted row-major cell keys sit side by side exactly when repeated
-        keys = np.sort(_rows_and_keys(mat)[1])
+        keys = np.sort(_row_ids(rp) * mat.N + cj)
         repeats = np.nonzero(keys[1:] == keys[:-1])[0]
         if len(repeats):
             duplicate = divmod(int(keys[repeats[0]]), mat.N)
@@ -172,10 +172,10 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     return ValidationReport(ok=not v, violations=v, duplicate_cell=duplicate)
 
 
-def _rows_and_keys(mat: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row of every stored entry, and its row-major cell key row * N + col."""
-    rows = np.repeat(np.arange(mat.m, dtype=np.int64), np.diff(mat.row_ptr))
-    return rows, rows * mat.N + mat.col_idx
+def _row_ids(row_ptr: np.ndarray) -> np.ndarray:
+    """Row of every stored entry of a CSR row pointer."""
+    return np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int64),
+                     np.diff(row_ptr))
 
 
 def _cell_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -280,7 +280,7 @@ def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
         error = DuplicateEntry if report.duplicate_cell else ValueError
         raise error("invalid CSR: " + report.violations[0])
     dense = np.zeros((mat.m, mat.N), dtype=np.float64)
-    dense[_rows_and_keys(mat)[0], mat.col_idx] = mat.values
+    dense[_row_ids(mat.row_ptr), mat.col_idx] = mat.values
     return DenseMatrix(m=mat.m, n=mat.N, values=dense)
 
 
@@ -313,7 +313,7 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     """
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
-    rows = _rows_and_keys(mat)[0]
+    rows = _row_ids(mat.row_ptr)
     order = _cell_order(rows, mat.col_idx, mat.N)
     out = np.zeros(mat.m, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -87,10 +87,11 @@ def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     """Run the distributed SpMV of a fixture across simulated ranks.
 
     Row and column layouts default to the block formula; explicit size
-    lists override them (and are checked eagerly, raising LayoutSumMismatch
-    when they do not add up). The report carries per-rank result slices,
-    the residual against the fixture's known product, and the gather path
-    actually taken. It trusts the fixture to pass validate_fixture.
+    lists override them, raising LayoutSumMismatch when they do not split
+    the extents over the ranks. The report carries the layouts used,
+    per-rank result slices, the residual against the fixture's known
+    product, and the gather path actually taken. It trusts the fixture to
+    pass validate_fixture.
     """
     # the engine checks size before the layouts are sized by it
     engine = CollectiveEngine(size, mode=mode, record_trace=record_trace)

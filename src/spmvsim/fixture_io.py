@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CsrMatrix, _cell_order, _rows_and_keys,
+from .core import (CsrMatrix, _cell_order, _row_ids,
                    spmv_sorted_oracle, validate_csr)
 from .fixtures import Fixture
 
@@ -231,8 +231,7 @@ def export_matrix_market(fixture: Fixture, dest) -> Path:
     """
     dest = Path(dest)
     x_path = companion_x_path(dest)
-    rows = _rows_and_keys(CsrMatrix.sequential(
-        fixture.row_ptr, fixture.col_idx, fixture.values, n=fixture.N))[0]
+    rows = _row_ids(fixture.row_ptr)
     order = _cell_order(rows, fixture.col_idx, fixture.N)
     lines = [f"{_MM_BANNER} matrix coordinate real general",
              f"{fixture.M} {fixture.N} {fixture.nnz}"]

@@ -21,7 +21,7 @@ __all__ = ["Layout", "LayoutSumMismatch", "block_local_size", "build_layout",
 
 
 class LayoutSumMismatch(ValueError):
-    """Explicit block sizes do not add up to the global extent."""
+    """Explicit sizes that do not split the extent over the ranks."""
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def block_local_size(total: int, size: int, rank: int) -> int:
 def build_layout(total: int, size: int, explicit_local_sizes=None) -> Layout:
     """Build the per-rank layout of one dimension.
 
-    With explicit_local_sizes the caller controls the split; sizes must be
-    nonnegative and sum to total or LayoutSumMismatch is raised eagerly.
+    With explicit_local_sizes the caller controls the split; anything but
+    one nonnegative size per rank summing to total raises LayoutSumMismatch.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -71,10 +71,10 @@ def build_layout(total: int, size: int, explicit_local_sizes=None) -> Layout:
     else:
         sizes = tuple(int(s) for s in explicit_local_sizes)
         if len(sizes) != size:
-            raise ValueError(
+            raise LayoutSumMismatch(
                 f"expected {size} block sizes, got {len(sizes)}")
         if any(s < 0 for s in sizes):
-            raise ValueError(f"block sizes must be >= 0, got {sizes}")
+            raise LayoutSumMismatch(f"block sizes must be >= 0, got {sizes}")
         if sum(sizes) != total:
             raise LayoutSumMismatch(
                 f"layout sum mismatch: sum {sum(sizes)} != {total}")

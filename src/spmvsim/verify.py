@@ -5,6 +5,7 @@ failure and never raising, and returns a report whose overall verdict is
 the conjunction of the individual outcomes. Details carry the observed
 numbers so a failing report is diagnosable on its own. A fixture that
 validate_fixture rejects gets one failed input-valid check and no other.
+verify_distributed judges the run it makes, from that run's own report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .core import residual_sq, spmv_seq, spmv_sorted_oracle
 from .distributed import GatherPath, check_pass, run_distributed
 from .fixture_io import FixtureValidationError, validate_fixture
 from .fixtures import Fixture
-from .layout import build_layout, extract_local
+from .layout import LayoutSumMismatch
 
 __all__ = ["CheckResult", "VerificationReport", "verify_sequential",
            "verify_distributed"]
@@ -58,6 +59,8 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
+    if len(a) != len(b):
+        return f"length {len(a)} != {len(b)}"
     idx = np.nonzero((a != b) & ~(np.isnan(a) & np.isnan(b)))[0]
     if not len(idx):
         return "no differences"
@@ -105,64 +108,59 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
                        mode: str = "parallel") -> VerificationReport:
     """Check one distributed run of a fixture at the given rank count.
 
-    Checks: layout sizes summing to the global extents, each rank's result
-    slice equalling a direct sequential multiply of its extracted block,
-    the concatenation equalling the full sequential result, the residual
-    within tolerance, and the gather path matching its prediction.
+    Checks, all read from the run's own report: layout sizes summing to
+    the global extents, each rank's result slice equalling its rows of one
+    sequential product, the concatenation equalling that product, the
+    residual within tolerance, and the gather path matching the prediction
+    from the column sizes. A layout the run refuses fails layout-sums, any
+    other refusal distributed-run.
     """
     if invalid := _invalid_input(fixture):
         return VerificationReport(checks=[invalid])
-    checks: list[CheckResult] = []
     try:
-        row_layout = build_layout(fixture.M, size, explicit_row_sizes)
-        col_layout = build_layout(fixture.N, size, explicit_col_sizes)
-    except ValueError as exc:
-        checks.append(CheckResult("layout-sums", False, str(exc)))
-        checks.append(CheckResult(
-            "distributed-run", False,
-            "not evaluated: layout construction failed"))
-        return VerificationReport(checks=checks)
-    row_sum = sum(row_layout.local_sizes)
-    col_sum = sum(col_layout.local_sizes)
+        report = run_distributed(fixture, size, explicit_row_sizes,
+                                 explicit_col_sizes, mode=mode)
+    except LayoutSumMismatch as exc:
+        return VerificationReport(checks=[
+            CheckResult("layout-sums", False, str(exc)),
+            CheckResult("distributed-run", False,
+                        "not evaluated: layout construction failed")])
+    except (CollectiveError, ValueError) as exc:
+        return VerificationReport(checks=[
+            CheckResult("layout-sums", False,
+                        "not evaluated: distributed run failed"),
+            CheckResult("distributed-run", False, str(exc))])
+    checks: list[CheckResult] = []
+    row_sum = sum(report.row_layout.local_sizes)
+    col_sum = sum(report.col_layout.local_sizes)
     sums_ok = row_sum == fixture.M and col_sum == fixture.N
     checks.append(CheckResult(
         "layout-sums", sums_ok,
         f"row blocks sum to {row_sum} of {fixture.M}, column blocks to "
         f"{col_sum} of {fixture.N}"))
-    try:
-        report = run_distributed(fixture, size, explicit_row_sizes,
-                                 explicit_col_sizes, mode=mode)
-    except (CollectiveError, ValueError) as exc:
-        checks.append(CheckResult("distributed-run", False, str(exc)))
-        return VerificationReport(checks=checks)
-    full_x = fixture.x_vector()
+    seq_y = spmv_seq(fixture.matrix(), fixture.x_vector()).values
     per_rank_ok = True
     per_rank_detail = "every rank slice equals its local sequential multiply"
-    for rank in range(size):
-        local = extract_local(fixture.row_ptr, fixture.col_idx,
-                              fixture.values, row_layout, col_layout, rank)
-        expected = spmv_seq(local, full_x)
-        if not _same(report.per_rank_y[rank], expected.values):
+    for rank, y in enumerate(report.per_rank_y):
+        lo, hi = report.row_layout.local_range(rank)
+        if not _same(y, seq_y[lo:hi]):
             per_rank_ok = False
-            per_rank_detail = (f"rank {rank}: "
-                               f"{_first_diff(report.per_rank_y[rank], expected.values)}")
+            per_rank_detail = f"rank {rank}: {_first_diff(y, seq_y[lo:hi])}"
             break
     checks.append(CheckResult("per-rank-sub-multiply", per_rank_ok,
                               per_rank_detail))
-    combined = (np.concatenate(report.per_rank_y) if report.per_rank_y
-                else np.array([]))
-    seq_y = spmv_seq(fixture.matrix(), full_x)
-    concat_ok = _same(combined, seq_y.values)
+    combined = np.concatenate(report.per_rank_y)
+    concat_ok = _same(combined, seq_y)
     checks.append(CheckResult(
         "concatenation-matches-sequential", concat_ok,
         "concatenated rank slices equal the sequential result exactly"
-        if concat_ok else _first_diff(combined, seq_y.values)))
+        if concat_ok else _first_diff(combined, seq_y)))
     ok = check_pass(report.residual_sq)
     checks.append(CheckResult(
         "residual-within-tolerance", ok,
         f"residualSq == {report.residual_sq!r}"))
     predicted = (GatherPath.EQUAL_BLOCKS
-                 if len(set(col_layout.local_sizes)) == 1
+                 if len(set(report.col_layout.local_sizes)) == 1
                  else GatherPath.UNEVEN_BLOCKS)
     path_ok = report.gather_path == predicted
     checks.append(CheckResult(

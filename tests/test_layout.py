@@ -1,5 +1,7 @@
 """Block distribution arithmetic and local submatrix extraction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,6 +70,16 @@ def test_build_layout_explicit():
 def test_build_layout_explicit_sum_mismatch_is_eager():
     with pytest.raises(LayoutSumMismatch, match="sum 31 != 32"):
         build_layout(32, 2, [16, 15])
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([32], "expected 2 block sizes, got 1"),
+    ([33, -1], "block sizes must be >= 0, got (33, -1)"),
+    ([-2, -3], "block sizes must be >= 0, got (-2, -3)"),
+])
+def test_build_layout_bad_explicit_split_is_a_mismatch(sizes, message):
+    with pytest.raises(LayoutSumMismatch, match=re.escape(message)):
+        build_layout(32, 2, sizes)
 
 
 def test_build_layout_explicit_rejects_negative_and_wrong_count():

@@ -1,5 +1,6 @@
 """Structured verification reports."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -11,12 +12,15 @@ from spmvsim import (
     CollectiveMismatch,
     Fixture,
     GenParams,
+    build_layout,
     export_matrix_market,
+    extract_local,
     generate,
     import_matrix_market,
     read_fixture,
     reference_fixture,
     run_distributed,
+    spmv_seq,
     validate_csr,
     verify_distributed,
     verify_sequential,
@@ -86,6 +90,14 @@ def test_sequential_invalid_input_is_a_failed_check():
             assert named in report.checks[0].detail
 
 
+def patch_bindings(monkeypatch, original, replacement):
+    """Replace original in every package module that binds it by name."""
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "spmvsim" and name != "spmvsim"
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
 @pytest.fixture
 def validate_csr_calls(monkeypatch):
     """Every validate_csr call made through a package module, by entry count."""
@@ -95,10 +107,7 @@ def validate_csr_calls(monkeypatch):
         calls.append(mat.nnz)
         return validate_csr(mat)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "spmvsim" and name != "spmvsim"
-                and getattr(module, "validate_csr", None) is validate_csr):
-            monkeypatch.setattr(module, "validate_csr", counting)
+    patch_bindings(monkeypatch, validate_csr, counting)
     return calls
 
 
@@ -189,17 +198,28 @@ def test_distributed_explicit_layouts_pass(ref):
 
 def test_distributed_bad_layout_named(ref):
     for sizes, named in (([16, 15], "sum 31 != 32"),
-                         ([32], "expected 2 block sizes, got 1")):
+                         ([32], "expected 2 block sizes, got 1"),
+                         ([33, -1], "block sizes must be >= 0, got (33, -1)")):
         report = verify_distributed(ref, 2, explicit_row_sizes=sizes)
         assert not report.overall
         assert report.checks[0].name == "layout-sums"
         assert not report.checks[0].passed
         assert named in report.checks[0].detail
+        assert report.checks[1].detail == (
+            "not evaluated: layout construction failed")
 
 
 def test_distributed_run_failure_is_a_failed_check(ref, monkeypatch):
+    # the engine refuses a rank count before any layout is sized by it
+    def refuse_oversized(total, size, explicit_local_sizes=None):
+        if size > MAX_RANKS:
+            pytest.fail(f"a layout was sized by {size} ranks")
+        return build_layout(total, size, explicit_local_sizes)
+
+    patch_bindings(monkeypatch, build_layout, refuse_oversized)
     report = verify_distributed(ref, MAX_RANKS + 1)
     assert check_names(report) == ["layout-sums", "distributed-run"]
+    assert report.checks[0].detail == "not evaluated: distributed run failed"
     assert f"1..{MAX_RANKS}" in report.checks[1].detail
 
     def broken_run(*args, **kwargs):
@@ -210,6 +230,54 @@ def test_distributed_run_failure_is_a_failed_check(ref, monkeypatch):
     assert not report.overall
     assert report.checks[-1].name == "distributed-run"
     assert "out of turn" in report.checks[-1].detail
+
+
+def test_distributed_reuses_the_run(ref, monkeypatch):
+    # layouts and blocks come from the run; verify adds one whole product
+    calls = {"build_layout": 0, "extract_local": 0, "spmv_seq": 0}
+
+    def counted(original):
+        def call(*args, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for original in (build_layout, extract_local, spmv_seq):
+        patch_bindings(monkeypatch, original, counted(original))
+    for size in (1, 3, 8):
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_distributed(ref, size).overall
+        assert calls == {"build_layout": 2, "extract_local": size,
+                         "spmv_seq": size + 1}
+
+
+def test_per_rank_check_catches_a_wrong_block(ref, monkeypatch):
+    # the run uses the wrong blocks, so only an independent product sees it
+    def last_value_plus_one(*args):
+        local = extract_local(*args)
+        local.values[-1] += 1.0
+        return local
+
+    patch_bindings(monkeypatch, extract_local, last_value_plus_one)
+    by_name = {c.name: c for c in verify_distributed(ref, 3).checks}
+    assert not by_name["per-rank-sub-multiply"].passed
+    assert by_name["per-rank-sub-multiply"].detail.startswith("rank 0: ")
+    assert not by_name["concatenation-matches-sequential"].passed
+
+
+def test_per_rank_check_catches_a_misplaced_row(ref, monkeypatch):
+    # rank 0 returns one row too many and rank 1 one too few, so only the
+    # slices, not their concatenation, show it
+    real = run_distributed(ref, 2)
+    y0, y1 = real.per_rank_y
+    shifted = dataclasses.replace(
+        real, per_rank_y=[np.concatenate([y0, y1[:1]]), y1[1:]])
+    monkeypatch.setattr(spmvsim.verify, "run_distributed",
+                        lambda *args, **kwargs: shifted)
+    by_name = {c.name: c for c in verify_distributed(ref, 2).checks}
+    assert by_name["concatenation-matches-sequential"].passed
+    assert not by_name["per-rank-sub-multiply"].passed
+    assert by_name["per-rank-sub-multiply"].detail == "rank 0: length 17 != 16"
 
 
 def test_distributed_detects_corrupt_value(ref):
