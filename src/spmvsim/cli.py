@@ -85,8 +85,7 @@ def cmd_run(args) -> int:
         y = spmv_seq(fixture.matrix(), fixture.x_vector())
         norm = residual_sq(y, fixture.z_vector())
     else:
-        report = run_distributed(fixture, args.ranks,
-            record_trace=args.trace)
+        report = run_distributed(fixture, args.ranks)
         if args.trace:
             print(report.trace.dump())
         norm = report.residual_sq

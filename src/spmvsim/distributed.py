@@ -3,7 +3,8 @@
 Every rank owns a contiguous block of rows (and a matching block of the
 input vector), gathers the full input with allgather or allgatherv, runs
 the sequential kernel on its rows, and contributes its part of the squared
-residual against the known product to a global allreduce.
+residual against the known product to a global allreduce. Every run records
+its collective trace, and the report reads the gather path from it.
 """
 
 from __future__ import annotations
@@ -43,31 +44,12 @@ class DistRunReport:
     per_rank_y: list[np.ndarray]
     residual_sq: float
     gather_path: GatherPath
-    trace: CollectiveTrace | None = None
+    trace: CollectiveTrace
 
 
 def check_pass(residual_sq_value: float) -> bool:
     """True when the squared residual is within the fixed tolerance."""
     return residual_sq_value <= RESIDUAL_TOLERANCE
-
-
-def _gather_x_with_path(ctx: RankContext, local_x: np.ndarray,
-                        col_layout: Layout) -> tuple[np.ndarray, GatherPath]:
-    local_x = np.asarray(local_x, dtype=np.float64)
-    n = len(local_x)
-    if col_layout.explicit:
-        # user-chosen split: nothing guarantees equal blocks, so ask
-        counts = ctx.allgather(np.array([n], dtype=np.int64))
-        if len(set(counts.tolist())) == 1:
-            return ctx.allgather(local_x), GatherPath.EQUAL_BLOCKS
-    else:
-        # default split: blocks are equal exactly when size divides N
-        if col_layout.total % ctx.size == 0:
-            return ctx.allgather(local_x), GatherPath.EQUAL_BLOCKS
-        counts = ctx.allgather(np.array([n], dtype=np.int64))
-    counts = counts.tolist()
-    full = ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
-    return full, GatherPath.UNEVEN_BLOCKS
 
 
 def gather_x(ctx: RankContext, local_x, col_layout: Layout) -> np.ndarray:
@@ -77,24 +59,36 @@ def gather_x(ctx: RankContext, local_x, col_layout: Layout) -> np.ndarray:
     with size dividing the extent, or an explicit split whose gathered
     lengths agree) and allgatherv otherwise.
     """
-    full, _ = _gather_x_with_path(ctx, local_x, col_layout)
-    return full
+    local_x = np.asarray(local_x, dtype=np.float64)
+    n = len(local_x)
+    if col_layout.explicit:
+        # user-chosen split: nothing guarantees equal blocks, so ask
+        counts = ctx.allgather(np.array([n], dtype=np.int64))
+        if len(set(counts.tolist())) == 1:
+            return ctx.allgather(local_x)
+    else:
+        # default split: blocks are equal exactly when size divides N
+        if col_layout.total % ctx.size == 0:
+            return ctx.allgather(local_x)
+        counts = ctx.allgather(np.array([n], dtype=np.int64))
+    counts = counts.tolist()
+    return ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
 
 
 def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
-                    explicit_col_sizes=None, *, mode: str = "parallel",
-                    record_trace: bool = False) -> DistRunReport:
+                    explicit_col_sizes=None, *,
+                    mode: str = "parallel") -> DistRunReport:
     """Run the distributed SpMV of a fixture across simulated ranks.
 
     Row and column layouts default to the block formula; explicit size
     lists override them, raising LayoutSumMismatch when they do not split
     the extents over the ranks. The report carries the layouts used,
     per-rank result slices, the residual against the fixture's known
-    product, and the gather path actually taken. It trusts the fixture to
-    pass validate_fixture.
+    product, the collective trace, and the gather path that trace shows.
+    It trusts the fixture to pass validate_fixture.
     """
     # the engine checks size before the layouts are sized by it
-    engine = CollectiveEngine(size, mode=mode, record_trace=record_trace)
+    engine = CollectiveEngine(size, mode=mode, record_trace=True)
     row_layout = build_layout(fixture.M, size, explicit_row_sizes)
     col_layout = build_layout(fixture.N, size, explicit_col_sizes)
     gi, gj, ga = fixture.row_ptr, fixture.col_idx, fixture.values
@@ -112,22 +106,21 @@ def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
                 f"({local.rstart}, {local.cstart})")
         x_local = x_global[cstart:cstart + n]
         z_local = z_global[rstart:rstart + m]
-        full_x, path = _gather_x_with_path(ctx, x_local, col_layout)
+        full_x = gather_x(ctx, x_local, col_layout)
         y = spmv_seq(local, DenseVector.sequential(full_x))
         partial = residual_sq(y, DenseVector(n=m, N=fixture.M, values=z_local))
-        total = ctx.allreduce_sum(partial)
-        return y.values, total, path
+        return y.values, ctx.allreduce_sum(partial)
 
-    outputs = engine.run(program)
-    ys = [out[0] for out in outputs]
-    totals = [out[1] for out in outputs]
-    paths = [out[2] for out in outputs]
+    ys, totals = map(list, zip(*engine.run(program)))
     # bit patterns, so a NaN total that every rank shares agrees
     if len({t.hex() for t in totals}) > 1:
         raise AssertionError(f"allreduce left ranks disagreeing: {totals}")
-    if any(p != paths[0] for p in paths[1:]):
-        raise AssertionError(f"ranks took different gather paths: {paths}")
+    # the engine refuses ranks whose collectives differ at one seq, so an
+    # allgatherv record from any rank means every rank took that branch
+    uneven = any(r.op == "allgatherv" for r in engine.trace.records)
     return DistRunReport(size=size, row_layout=row_layout,
                          col_layout=col_layout, per_rank_y=ys,
-                         residual_sq=totals[0], gather_path=paths[0],
+                         residual_sq=totals[0],
+                         gather_path=(GatherPath.UNEVEN_BLOCKS if uneven
+                                      else GatherPath.EQUAL_BLOCKS),
                          trace=engine.trace)

@@ -75,7 +75,7 @@ def test_criterion_2_distributed_reference_all_sizes():
     expect_uneven = {5, 7, 8}                       # 36 % size != 0
     t0 = time.perf_counter()
     for size in range(1, 9):
-        run = run_distributed(fx, size, record_trace=True)
+        run = run_distributed(fx, size)
         assert run.residual_sq == 0.0, size
         assert np.array_equal(np.concatenate(run.per_rank_y), REF_Z), size
         want = (GatherPath.UNEVEN_BLOCKS if size in expect_uneven
@@ -181,7 +181,7 @@ def test_criterion_5_mutation_sensitivity():
 
 
 def _run_signature(fx, mode: str) -> tuple:
-    run = run_distributed(fx, 7, mode=mode, record_trace=True)
+    run = run_distributed(fx, 7, mode=mode)
     return (
         run.size,
         run.row_layout.local_sizes, run.row_layout.starts,

@@ -72,7 +72,7 @@ def test_explicit_layout_mismatch_raises_before_running(ref):
 
 
 def test_trace_ops_even_path(ref):
-    report = run_distributed(ref, 4, record_trace=True)
+    report = run_distributed(ref, 4)
     ops = [r.op for r in report.trace.records]
     # two exscans, the x gather, the residual reduction; no size gather
     assert ops == (["exscan_sum"] * 4 + ["exscan_sum"] * 4
@@ -80,17 +80,12 @@ def test_trace_ops_even_path(ref):
 
 
 def test_trace_ops_uneven_path(ref):
-    report = run_distributed(ref, 5, record_trace=True)
+    report = run_distributed(ref, 5)
     ops = [r.op for r in report.trace.records]
     # the uneven branch first gathers the block lengths, then allgatherv
     assert ops == (["exscan_sum"] * 5 + ["exscan_sum"] * 5
                    + ["allgather"] * 5 + ["allgatherv"] * 5
                    + ["allreduce_sum"] * 5)
-
-
-def test_trace_absent_by_default(ref):
-    report = run_distributed(ref, 3)
-    assert report.trace is None
 
 
 def test_perturbed_matrix_value_residual(ref):
@@ -133,8 +128,8 @@ def test_distributed_equals_sequential_on_generated():
 
 
 def test_modes_agree_bitwise(ref):
-    a = run_distributed(ref, 7, mode="parallel", record_trace=True)
-    b = run_distributed(ref, 7, mode="serial", record_trace=True)
+    a = run_distributed(ref, 7, mode="parallel")
+    b = run_distributed(ref, 7, mode="serial")
     assert a.residual_sq == b.residual_sq
     assert all(np.array_equal(x, y) for x, y in zip(a.per_rank_y, b.per_rank_y))
     assert a.gather_path == b.gather_path
@@ -207,8 +202,7 @@ def test_distributed_run_equals_sequential(case):
     seq = spmv_seq(fx.matrix(), fx.x_vector()).values
     runs = []
     for mode in ("parallel", "serial"):
-        run = run_distributed(fx, size, row_sizes, col_sizes, mode=mode,
-                              record_trace=True)
+        run = run_distributed(fx, size, row_sizes, col_sizes, mode=mode)
         assert np.concatenate(run.per_rank_y).tobytes() == seq.tobytes()
         assert verify_distributed(fx, size, row_sizes, col_sizes,
                                   mode=mode).overall
