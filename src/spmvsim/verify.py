@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collectives import CollectiveError
 from .core import residual_sq, spmv_seq, spmv_sorted_oracle
 from .distributed import GatherPath, check_pass, run_distributed
 from .fixture_io import FixtureValidationError, validate_fixture
@@ -83,13 +82,22 @@ def verify_sequential(fixture: Fixture) -> VerificationReport:
     Checks: exact agreement of the CSR kernel with the sorted-entry oracle
     (spmv_sorted_oracle, itself tested against the dense reference) and the
     squared residual against the stored product staying within tolerance.
+    A kernel that raises fails the first, naming the exception, and leaves
+    the second not evaluated.
     """
     if invalid := _invalid_input(fixture):
         return VerificationReport(checks=[invalid])
     checks: list[CheckResult] = []
     mat = fixture.matrix()
     x = fixture.x_vector()
-    y = spmv_seq(mat, x)
+    try:
+        y = spmv_seq(mat, x)
+    except Exception as exc:
+        return VerificationReport(checks=[
+            CheckResult("kernel-matches-oracle", False,
+                        f"kernel raised {type(exc).__name__}: {exc}"),
+            CheckResult("residual-within-tolerance", False,
+                        "not evaluated: kernel raised")])
     oracle = spmv_sorted_oracle(mat, x)
     same = _same(y.values, oracle.values)
     checks.append(CheckResult(
@@ -112,24 +120,27 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     the global extents, each rank's result slice equalling its rows of one
     sequential product, the concatenation equalling that product, the
     residual within tolerance, and the gather path matching the prediction
-    from the column sizes. A layout the run refuses fails layout-sums, any
-    other refusal distributed-run.
+    from the column sizes. A layout the run refuses fails layout-sums; any
+    other exception from the run or the sequential product fails
+    distributed-run.
     """
     if invalid := _invalid_input(fixture):
         return VerificationReport(checks=[invalid])
     try:
         report = run_distributed(fixture, size, explicit_row_sizes,
                                  explicit_col_sizes, mode=mode)
+        seq_y = spmv_seq(fixture.matrix(), fixture.x_vector()).values
     except LayoutSumMismatch as exc:
         return VerificationReport(checks=[
             CheckResult("layout-sums", False, str(exc)),
             CheckResult("distributed-run", False,
                         "not evaluated: layout construction failed")])
-    except (CollectiveError, ValueError) as exc:
+    except Exception as exc:
         return VerificationReport(checks=[
             CheckResult("layout-sums", False,
                         "not evaluated: distributed run failed"),
-            CheckResult("distributed-run", False, str(exc))])
+            CheckResult("distributed-run", False,
+                        f"{type(exc).__name__}: {exc}")])
     checks: list[CheckResult] = []
     row_sum = sum(report.row_layout.local_sizes)
     col_sum = sum(report.col_layout.local_sizes)
@@ -138,7 +149,6 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         "layout-sums", sums_ok,
         f"row blocks sum to {row_sum} of {fixture.M}, column blocks to "
         f"{col_sum} of {fixture.N}"))
-    seq_y = spmv_seq(fixture.matrix(), fixture.x_vector()).values
     per_rank_ok = True
     per_rank_detail = "every rank slice equals its local sequential multiply"
     for rank, y in enumerate(report.per_rank_y):
