@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import residual_sq, spmv_seq, spmv_sorted_oracle
+from .core import DenseVector, residual_sq, spmv_seq, spmv_sorted_oracle
 from .distributed import GatherPath, check_pass, run_distributed
 from .fixture_io import FixtureValidationError, validate_fixture
 from .fixtures import Fixture
@@ -119,10 +119,11 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     Checks, all read from the run's own report: layout sizes summing to
     the global extents, each rank's result slice equalling its rows of one
     sequential product, the concatenation equalling that product, the
-    residual within tolerance, and the gather path matching the prediction
-    from the column sizes. A layout the run refuses fails layout-sums; any
-    other exception from the run or the sequential product fails
-    distributed-run.
+    residual within tolerance and bit-equal to that product's per-rank
+    residuals summed in rank order, and the gather path matching the
+    prediction from the column sizes. A layout the run refuses fails
+    layout-sums; any other exception from the run or the sequential
+    product fails distributed-run.
     """
     if invalid := _invalid_input(fixture):
         return VerificationReport(checks=[invalid])
@@ -165,10 +166,20 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         "concatenation-matches-sequential", concat_ok,
         "concatenated rank slices equal the sequential result exactly"
         if concat_ok else _first_diff(combined, seq_y)))
-    ok = check_pass(report.residual_sq)
-    checks.append(CheckResult(
-        "residual-within-tolerance", ok,
-        f"residualSq == {report.residual_sq!r}"))
+    # the run's allreduce redone in rank order, over the sequential product
+    partials_sum = 0.0
+    for rank in range(report.size):
+        lo, hi = report.row_layout.local_range(rank)
+        partials_sum += residual_sq(DenseVector.sequential(seq_y[lo:hi]),
+                                    DenseVector.sequential(fixture.z[lo:hi]))
+    rsq = report.residual_sq
+    same_bits = float(rsq).hex() == partials_sum.hex()
+    residual_detail = f"residualSq == {rsq!r}"
+    if not same_bits:
+        residual_detail += (f", but the sequential product's rank partials "
+                            f"sum to {partials_sum!r}")
+    checks.append(CheckResult("residual-within-tolerance",
+                              same_bits and check_pass(rsq), residual_detail))
     predicted = (GatherPath.EQUAL_BLOCKS
                  if len(set(report.col_layout.local_sizes)) == 1
                  else GatherPath.UNEVEN_BLOCKS)
