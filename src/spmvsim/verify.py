@@ -67,6 +67,13 @@ def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
     return f"first difference at index {k}: {float(a[k])!r} != {float(b[k])!r}"
 
 
+def _steps_down(sizes) -> bool:
+    """The default split's shape: block sizes that never increase from
+    rank 0 and differ by at most one."""
+    return (list(sizes) == sorted(sizes, reverse=True)
+            and max(sizes, default=0) - min(sizes, default=0) <= 1)
+
+
 def _invalid_input(fixture: Fixture) -> CheckResult | None:
     """The failed input-valid check of a fixture validate_fixture rejects."""
     try:
@@ -117,9 +124,10 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     """Check one distributed run of a fixture at the given rank count.
 
     Checks, all read from the run's own report: layout sizes summing to
-    the global extents, each rank's result slice equalling its rows of one
-    sequential product, the concatenation equalling that product, the
-    residual within tolerance and bit-equal to that product's per-rank
+    the global extents (and, for a default layout, blocks that step down by
+    at most one from rank 0), each rank's result slice equalling its rows
+    of one sequential product, the concatenation equalling that product,
+    the residual within tolerance and bit-equal to that product's per-rank
     residuals summed in rank order, and the gather path matching the
     prediction from the column sizes. A layout the run refuses fails
     layout-sums; any other exception from the run or the sequential
@@ -146,10 +154,16 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     row_sum = sum(report.row_layout.local_sizes)
     col_sum = sum(report.col_layout.local_sizes)
     sums_ok = row_sum == fixture.M and col_sum == fixture.N
+    misshapen = [
+        f"; default {name} blocks {layout.local_sizes} do not step down by "
+        f"at most one from rank 0"
+        for name, layout in (("row", report.row_layout),
+                             ("column", report.col_layout))
+        if not (layout.explicit or _steps_down(layout.local_sizes))]
     checks.append(CheckResult(
-        "layout-sums", sums_ok,
+        "layout-sums", sums_ok and not misshapen,
         f"row blocks sum to {row_sum} of {fixture.M}, column blocks to "
-        f"{col_sum} of {fixture.N}"))
+        f"{col_sum} of {fixture.N}" + "".join(misshapen)))
     per_rank_ok = True
     per_rank_detail = "every rank slice equals its local sequential multiply"
     for rank, y in enumerate(report.per_rank_y):
