@@ -1,5 +1,6 @@
 """Command-line behavior: verbatim verdict lines and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -221,3 +222,28 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# sha256 of stdout on the reference fixture; a change to any of these bytes
+# is a change to the program's observable output
+GOLDEN_STDOUT = {
+    "run --mode dist --ranks 3 --trace":
+        "d548954bfa8b8658b059c635c50d9f414b1a1ca807bdc34647c29d8d606de746",
+    "run --mode dist --ranks 5 --trace":
+        "398f464a033569b2f408eaa46392e04fa50dc0cdfdd114396e4403d9a7711b54",
+    "verify":
+        "0f88957f121dae06956b7ff68ca02b64e8cb4f8768738af51a89e2e0fbf826ab",
+    "verify --json":
+        "db33feb9eb0e16bcc63e7b237a503daeb32ba43d2ea16a24be891aba257bd31c",
+    "verify --ranks-list 2 --row-sizes 0,32 --col-sizes 10,26":
+        "ade27a933d6629f212a68d2c81739452ee7edf6b4c2f2579f95e43f409373311",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_STDOUT)
+def test_stdout_bytes_are_pinned(tmp_path, capsys, command):
+    argv = command.split()
+    path = write_ref(tmp_path)
+    assert main([argv[0], "--fixture", str(path), *argv[1:]]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT[command]

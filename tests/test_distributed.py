@@ -5,15 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spmvsim.distributed
 from conftest import NON_INTEGER
 from spmvsim import (
     MAX_RANKS,
+    CollectiveError,
     Fixture,
     GatherPath,
     GenParams,
     LayoutSumMismatch,
     RESIDUAL_TOLERANCE,
     check_pass,
+    gather_x,
     generate,
     reference_fixture,
     run_distributed,
@@ -21,6 +24,7 @@ from spmvsim import (
     spmv_sorted_oracle,
     verify_distributed,
 )
+from spmvsim.collectives import exclusive_prefix_sums
 
 
 def test_reference_runs_match_ground_truth(ref):
@@ -86,6 +90,23 @@ def test_trace_ops_uneven_path(ref):
     assert ops == (["exscan_sum"] * 5 + ["exscan_sum"] * 5
                    + ["allgather"] * 5 + ["allgatherv"] * 5
                    + ["allreduce_sum"] * 5)
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_rank_on_the_other_gather_branch_is_refused(ref, monkeypatch, size,
+                                                    mode):
+    # 36 columns split evenly, so every rank should take plain allgather;
+    # rank 1 gathers the block lengths for allgatherv instead
+    def rank_1_uneven(ctx, local_x, col_layout):
+        if ctx.rank != 1:
+            return gather_x(ctx, local_x, col_layout)
+        counts = ctx.allgather(np.array([len(local_x)])).tolist()
+        return ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
+
+    monkeypatch.setattr(spmvsim.distributed, "gather_x", rank_1_uneven)
+    with pytest.raises(CollectiveError):
+        run_distributed(ref, size, mode=mode)
 
 
 def test_perturbed_matrix_value_residual(ref):

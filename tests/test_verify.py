@@ -6,12 +6,17 @@ import sys
 import numpy as np
 import pytest
 
+import spmvsim.collectives
+import spmvsim.distributed
+import spmvsim.layout
 import spmvsim.verify
 from spmvsim import (
     MAX_RANKS,
+    RESIDUAL_TOLERANCE,
     CollectiveMismatch,
     Fixture,
     GenParams,
+    RankContext,
     build_layout,
     export_matrix_market,
     extract_local,
@@ -21,11 +26,13 @@ from spmvsim import (
     reference_fixture,
     run_distributed,
     spmv_seq,
+    spmv_sorted_oracle,
     validate_csr,
     verify_distributed,
     verify_sequential,
     write_fixture,
 )
+from spmvsim.collectives import exclusive_prefix_sums
 
 
 def check_names(report):
@@ -191,9 +198,11 @@ def test_distributed_reference_passes(ref):
 
 
 def test_distributed_explicit_layouts_pass(ref):
-    report = verify_distributed(ref, 2, explicit_row_sizes=[30, 2],
-                                explicit_col_sizes=[18, 18])
-    assert report.overall, report.as_text()
+    # an explicit split need not have the default shape, and may grow
+    for rows, cols in (([30, 2], [18, 18]), ([2, 30], [10, 26])):
+        report = verify_distributed(ref, 2, explicit_row_sizes=rows,
+                                    explicit_col_sizes=cols)
+        assert report.overall, report.as_text()
 
 
 def test_distributed_bad_layout_named(ref):
@@ -326,3 +335,171 @@ def test_verify_uses_requested_engine_mode(ref):
     b = verify_distributed(ref, 7, mode="parallel")
     assert a.overall and b.overall
     assert a.as_records() == b.as_records()
+
+
+# -- seeded faults ------------------------------------------------------------
+
+FAULT_RANKS = (1, 2, 3, 5, 8)
+
+
+def near_miss_fixture():
+    """The reference structure with non-integer values and x, and z off the
+    exact product by 1e-5 in every row: each rank's residual partial is
+    nonzero, yet their sum is within tolerance, so an unfaulted run passes
+    and a fault that loses or zeroes a partial can show."""
+    fx = reference_fixture()
+    fx.values = fx.values * 0.1 + 1 / 3
+    fx.x = fx.x / 7
+    fx.z = spmv_sorted_oracle(fx.matrix(), fx.x_vector()).values + 1e-5
+    return fx
+
+
+def exscan_off_by_one(monkeypatch, fx):
+    real = RankContext.exscan_sum
+    monkeypatch.setattr(RankContext, "exscan_sum",
+                        lambda ctx, value: real(ctx, value) + (ctx.rank > 0))
+
+
+def allreduce_per_rank_totals(monkeypatch, fx):
+    real = spmvsim.collectives._reduce_allreduce_sum
+    monkeypatch.setattr(
+        spmvsim.collectives, "_reduce_allreduce_sum",
+        lambda payloads: [t + r for r, t in enumerate(real(payloads))])
+
+
+def kernel_index_error(monkeypatch, fx):
+    def raises(mat, x):
+        raise IndexError(f"index {mat.N} is out of bounds for size {mat.N}")
+
+    patch_bindings(monkeypatch, spmv_seq, raises)
+
+
+def allreduce_drops_last_partial(monkeypatch, fx):
+    real = spmvsim.collectives._reduce_allreduce_sum
+    monkeypatch.setattr(spmvsim.collectives, "_reduce_allreduce_sum",
+                        lambda payloads: real([*payloads[:-1], 0.0]))
+
+
+def rank_residual_zero(monkeypatch, fx):
+    monkeypatch.setattr(spmvsim.distributed, "residual_sq", lambda y, z: 0.0)
+
+
+def remainder_to_high_ranks(monkeypatch, fx):
+    monkeypatch.setattr(
+        spmvsim.layout, "block_local_size",
+        lambda total, size, rank: total // size + (rank >= size - total % size))
+
+
+def reversed_allgather(monkeypatch, fx):
+    real = spmvsim.collectives._reduce_allgather
+    monkeypatch.setattr(spmvsim.collectives, "_reduce_allgather",
+                        lambda payloads: real(payloads[::-1]))
+
+
+def wrong_extract_local_value(monkeypatch, fx):
+    def last_value_plus_half(*args):
+        local = extract_local(*args)
+        local.values[-1:] += 0.5
+        return local
+
+    patch_bindings(monkeypatch, extract_local, last_value_plus_half)
+
+
+def layout_drops_a_row(monkeypatch, fx):
+    def short_rows(total, size, explicit_local_sizes=None):
+        return build_layout(total - (total == fx.M), size, explicit_local_sizes)
+
+    patch_bindings(monkeypatch, build_layout, short_rows)
+
+
+def always_allgatherv(monkeypatch, fx):
+    def gather(ctx, local_x, col_layout):
+        counts = ctx.allgather(np.array([len(local_x)])).tolist()
+        return ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
+
+    monkeypatch.setattr(spmvsim.distributed, "gather_x", gather)
+
+
+def kernel_drops_an_entry(monkeypatch, fx):
+    def drops_last(mat, x):
+        values = mat.values.copy()
+        values[-1:] = 0.0
+        return spmv_seq(dataclasses.replace(mat, values=values), x)
+
+    patch_bindings(monkeypatch, spmv_seq, drops_last)
+
+
+def at(ranks, *checks):
+    """The same failing (section, check) pairs at each of ranks."""
+    return dict.fromkeys(ranks, checks)
+
+
+SEQ, DIST = "sequential", "distributed"
+# fault -> {K: the (section, check) pairs that must fail at K}; a K is
+# absent where the fault changes nothing (one rank, or even blocks)
+FAULTS = {
+    exscan_off_by_one: at((2, 3, 5, 8), (DIST, "distributed-run")),
+    allreduce_per_rank_totals: at((2, 3, 5, 8), (DIST, "distributed-run")),
+    kernel_index_error: at(FAULT_RANKS, (SEQ, "kernel-matches-oracle"),
+                           (SEQ, "residual-within-tolerance"),
+                           (DIST, "distributed-run")),
+    allreduce_drops_last_partial: at(FAULT_RANKS,
+                                     (DIST, "residual-within-tolerance")),
+    rank_residual_zero: at(FAULT_RANKS, (DIST, "residual-within-tolerance")),
+    # 32 rows and 36 columns split evenly over 1 and 2 ranks
+    remainder_to_high_ranks: at((3, 5, 8), (DIST, "layout-sums")),
+    # equal blocks gather x reversed; uneven ones gather reversed counts
+    reversed_allgather: {**at((2, 3), (DIST, "per-rank-sub-multiply")),
+                         **at((5, 8), (DIST, "distributed-run"))},
+    wrong_extract_local_value: at(FAULT_RANKS,
+                                  (DIST, "per-rank-sub-multiply")),
+    layout_drops_a_row: at(FAULT_RANKS, (DIST, "layout-sums")),
+    # 36 columns over 5 and 8 ranks take allgatherv anyway
+    always_allgatherv: at((1, 2, 3), (DIST, "gather-path-prediction")),
+    kernel_drops_an_entry: at(FAULT_RANKS, (SEQ, "kernel-matches-oracle"),
+                              (DIST, "residual-within-tolerance")),
+}
+
+
+def test_near_miss_fixture_passes_unfaulted():
+    fx = near_miss_fixture()
+    assert verify_sequential(fx).overall
+    for size in FAULT_RANKS:
+        report = verify_distributed(fx, size)
+        assert report.overall, report.as_text()
+        assert 0.0 < run_distributed(fx, size).residual_sq <= RESIDUAL_TOLERANCE
+
+
+def test_residual_fault_names_both_sums(ref, monkeypatch):
+    ref.z[-1] += 0.5
+    allreduce_drops_last_partial(monkeypatch, ref)
+    by_name = {c.name: c for c in verify_distributed(ref, 3).checks}
+    assert by_name["residual-within-tolerance"].detail == (
+        "residualSq == 0.0, but the sequential product's rank partials sum "
+        "to 0.25")
+    assert [name for name, c in by_name.items() if not c.passed] == [
+        "residual-within-tolerance"]
+
+
+def test_layout_shape_fault_names_the_blocks(ref, monkeypatch):
+    remainder_to_high_ranks(monkeypatch, ref)
+    check = verify_distributed(ref, 5).checks[0]
+    assert check.name == "layout-sums" and not check.passed
+    assert check.detail == (
+        "row blocks sum to 32 of 32, column blocks to 36 of 36; default row "
+        "blocks (6, 6, 6, 7, 7) do not step down by at most one from rank 0; "
+        "default column blocks (7, 7, 7, 7, 8) do not step down by at most "
+        "one from rank 0")
+
+
+@pytest.mark.parametrize("fault, size, failing", [
+    pytest.param(fault, size, failing, id=f"{fault.__name__}-{size}")
+    for fault, by_size in FAULTS.items() for size, failing in by_size.items()])
+def test_seeded_fault_fails_its_check(monkeypatch, fault, size, failing):
+    fx = near_miss_fixture()
+    fault(monkeypatch, fx)
+    sections = {SEQ: verify_sequential(fx), DIST: verify_distributed(fx, size)}
+    assert not sections[DIST].overall, sections[DIST].as_text()
+    for section, name in failing:
+        by_name = {c.name: c for c in sections[section].checks}
+        assert not by_name[name].passed, sections[section].as_text()
