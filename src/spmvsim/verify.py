@@ -89,8 +89,8 @@ def verify_sequential(fixture: Fixture) -> VerificationReport:
     Checks: exact agreement of the CSR kernel with the sorted-entry oracle
     (spmv_sorted_oracle, itself tested against the dense reference) and the
     squared residual against the stored product staying within tolerance.
-    A kernel that raises fails the first, naming the exception, and leaves
-    the second not evaluated.
+    A kernel, or a residual of its product, that raises fails the first,
+    naming the exception, and leaves the second not evaluated.
     """
     if invalid := _invalid_input(fixture):
         return VerificationReport(checks=[invalid])
@@ -99,19 +99,19 @@ def verify_sequential(fixture: Fixture) -> VerificationReport:
     x = fixture.x_vector()
     try:
         y = spmv_seq(mat, x)
+        rsq = residual_sq(y, fixture.z_vector())
     except Exception as exc:
         return VerificationReport(checks=[
             CheckResult("kernel-matches-oracle", False,
-                        f"kernel raised {type(exc).__name__}: {exc}"),
+                        f"{type(exc).__name__}: {exc}"),
             CheckResult("residual-within-tolerance", False,
-                        "not evaluated: kernel raised")])
+                        "not evaluated: the kernel or its residual raised")])
     oracle = spmv_sorted_oracle(mat, x)
     same = _same(y.values, oracle.values)
     checks.append(CheckResult(
         "kernel-matches-oracle", same,
         "kernel output equals sorted-entry oracle exactly" if same
         else _first_diff(y.values, oracle.values)))
-    rsq = residual_sq(y, fixture.z_vector())
     ok = check_pass(rsq)
     checks.append(CheckResult(
         "residual-within-tolerance", ok, f"residualSq == {rsq!r}"))
@@ -130,8 +130,8 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
     the residual within tolerance and bit-equal to that product's per-rank
     residuals summed in rank order, and the gather path matching the
     prediction from the column sizes. A layout the run refuses fails
-    layout-sums; any other exception from the run or the sequential
-    product fails distributed-run.
+    layout-sums; any other exception from the run, the sequential product
+    or its residuals fails distributed-run.
     """
     if invalid := _invalid_input(fixture):
         return VerificationReport(checks=[invalid])
@@ -139,6 +139,14 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         report = run_distributed(fixture, size, explicit_row_sizes,
                                  explicit_col_sizes, mode=mode)
         seq_y = spmv_seq(fixture.matrix(), fixture.x_vector()).values
+        # the run's allreduce redone in rank order, over the sequential
+        # product
+        partials_sum = 0.0
+        for rank in range(report.size):
+            lo, hi = report.row_layout.local_range(rank)
+            partials_sum += residual_sq(
+                DenseVector.sequential(seq_y[lo:hi]),
+                DenseVector.sequential(fixture.z[lo:hi]))
     except LayoutSumMismatch as exc:
         return VerificationReport(checks=[
             CheckResult("layout-sums", False, str(exc)),
@@ -180,12 +188,6 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         "concatenation-matches-sequential", concat_ok,
         "concatenated rank slices equal the sequential result exactly"
         if concat_ok else _first_diff(combined, seq_y)))
-    # the run's allreduce redone in rank order, over the sequential product
-    partials_sum = 0.0
-    for rank in range(report.size):
-        lo, hi = report.row_layout.local_range(rank)
-        partials_sum += residual_sq(DenseVector.sequential(seq_y[lo:hi]),
-                                    DenseVector.sequential(fixture.z[lo:hi]))
     rsq = report.residual_sq
     same_bits = float(rsq).hex() == partials_sum.hex()
     residual_detail = f"residualSq == {rsq!r}"

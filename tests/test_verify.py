@@ -429,6 +429,18 @@ def kernel_drops_an_entry(monkeypatch, fx):
     patch_bindings(monkeypatch, spmv_seq, drops_last)
 
 
+def kernel_drops_last_row(monkeypatch, fx):
+    # on the whole matrix only, as a fault in a path that only large
+    # matrices take would; rank blocks of two or more ranks are right
+    def short(mat, x):
+        y = spmv_seq(mat, x)
+        if mat.m < fx.M:
+            return y
+        return dataclasses.replace(y, n=y.n - 1, values=y.values[:-1])
+
+    patch_bindings(monkeypatch, spmv_seq, short)
+
+
 def at(ranks, *checks):
     """The same failing (section, check) pairs at each of ranks."""
     return dict.fromkeys(ranks, checks)
@@ -458,6 +470,11 @@ FAULTS = {
     always_allgatherv: at((1, 2, 3), (DIST, "gather-path-prediction")),
     kernel_drops_an_entry: at(FAULT_RANKS, (SEQ, "kernel-matches-oracle"),
                               (DIST, "residual-within-tolerance")),
+    # a short product makes its residual raise, in the run at K = 1 and in
+    # verify's own residuals at every K
+    kernel_drops_last_row: at(FAULT_RANKS, (SEQ, "kernel-matches-oracle"),
+                              (SEQ, "residual-within-tolerance"),
+                              (DIST, "distributed-run")),
 }
 
 
