@@ -29,6 +29,7 @@ import operator
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,7 @@ class OverlappingDisplacement(CollectiveError):
     """allgatherv displacements must be the exclusive prefix sums of counts."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One rank's participation in one collective generation."""
 
     seq: int
@@ -315,8 +315,7 @@ class CollectiveEngine:
                 gen = _Generation(self.size, op)
                 self._generations[seq] = gen
             if self.trace is not None:
-                self.trace._append(TraceRecord(seq=seq, op=op, rank=rank,
-                                               length=length))
+                self.trace._append(TraceRecord(seq, op, rank, length))
             was_done = gen.done
             if not was_done and gen.op != op:
                 gen.fail(CollectiveMismatch,

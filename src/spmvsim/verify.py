@@ -139,8 +139,7 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         report = run_distributed(fixture, size, explicit_row_sizes,
                                  explicit_col_sizes, mode=mode)
         seq_y = spmv_seq(fixture.matrix(), fixture.x_vector()).values
-        # the run's allreduce redone in rank order, over the sequential
-        # product
+        # the run's allreduce, redone over the sequential product
         partials_sum = 0.0
         for rank in range(report.size):
             lo, hi = report.row_layout.local_range(rank)
