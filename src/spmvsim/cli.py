@@ -14,6 +14,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -123,7 +124,7 @@ def cmd_verify(args) -> int:
 
 
 def _sniff_format(path) -> str:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
     if first == FORMAT_HEADER:
         return "fixture"
@@ -148,6 +149,8 @@ def cmd_convert(args) -> int:
     return 0
 
 
+# built once per process; parse_args does not change the parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spmvsim",

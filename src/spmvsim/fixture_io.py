@@ -21,10 +21,18 @@ Matrix Market export writes the matrix as a 1-based coordinate real general
 file in cell-key order, the order the sorted-entry oracle sums in, plus an
 array file for x next to it. Import accepts entries in any order; z is not
 in the format and is recomputed from the sorted-entry oracle on import.
+
+Both readers take files as UTF-8 and convert a whole array line, or a block
+of Matrix Market entry lines, at a time, but every token still follows
+Python's int() or float() rules. Of several bad tokens or lines the first in
+file order is reported, with the number of the line that holds it; only a
+bad value in the Matrix Market x file is reported without one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +93,7 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 
 def _read_text(source) -> str:
     try:
-        return Path(source).read_text()
+        return Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FixtureFormatError(
             f"{source}: not text ({exc.reason} at byte {exc.start})") from None
@@ -116,10 +124,10 @@ def write_fixture(fixture: Fixture, dest) -> None:
                                          fixture.values, fixture.x, fixture.z)):
         body = " ".join(map(repr, arr.tolist()))
         lines.append(f"{name} {len(arr)} {body}".rstrip())
-    Path(dest).write_text("\n".join(lines) + "\n")
+    Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_array(tokens: list[str], lineno: int, name: str, caster):
+def _parse_array(tokens: list[str], lineno: int, name: str, dtype):
     if not tokens:
         raise FixtureFormatError(f"{name}: missing length", lineno)
     try:
@@ -131,8 +139,13 @@ def _parse_array(tokens: list[str], lineno: int, name: str, caster):
     if len(body) != declared:
         raise FixtureFormatError(
             f"{name}: expected {declared} values, got {len(body)}", lineno)
+    caster = float if dtype is np.float64 else int
     try:
-        return [caster(t) for t in body]
+        try:
+            return np.fromiter(map(caster, body), dtype, declared)
+        except OverflowError:
+            # a token beyond int64: walk again so _int64 words the first one
+            return np.array([_int64(t) for t in body], dtype)
     except ValueError as exc:
         raise FixtureFormatError(f"{name}: {exc}", lineno) from None
 
@@ -150,7 +163,7 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
         raise FixtureFormatError(
             f"missing '{FORMAT_HEADER}' header", line=1)
     scalars: dict[str, int] = {}
-    arrays: dict[str, list] = {}
+    arrays: dict[str, np.ndarray] = {}
     metadata: dict[str, str] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -175,8 +188,8 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
         elif key in _ARRAY_FIELDS:
             if key in arrays:
                 raise FixtureFormatError(f"duplicate field '{key}'", lineno)
-            caster = _int64 if key in ("rowptr", "colidx") else float
-            arrays[key] = _parse_array(tokens[1:], lineno, key, caster)
+            dtype = np.int64 if key in ("rowptr", "colidx") else np.float64
+            arrays[key] = _parse_array(tokens[1:], lineno, key, dtype)
         else:
             raise FixtureFormatError(f"unknown field {key!r}", lineno)
     for name in _SCALAR_FIELDS:
@@ -214,6 +227,9 @@ _MM_BANNER = "%%MatrixMarket"
 # arrays of 2**63 bytes or more; below this bound neither the keys nor the
 # M + 1 eight-byte row pointers reach those limits
 _MAX_CELLS = 2**59
+# entry lines parsed per block: a block's token lists stay in cache, where
+# one pass over a whole large file's tokens does not
+_BLOCK_LINES = 2048
 
 
 def companion_x_path(matrix_path) -> Path:
@@ -238,10 +254,10 @@ def export_matrix_market(fixture: Fixture, dest) -> Path:
     lines.extend(f"{r} {c} {v!r}" for r, c, v in zip(
         (rows[order] + 1).tolist(), (fixture.col_idx[order] + 1).tolist(),
         fixture.values[order].tolist()))
-    dest.write_text("\n".join(lines) + "\n")
+    dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     x_lines = [f"{_MM_BANNER} matrix array real general", f"{fixture.N} 1",
                *map(repr, fixture.x.tolist())]
-    x_path.write_text("\n".join(x_lines) + "\n")
+    x_path.write_text("\n".join(x_lines) + "\n", encoding="utf-8")
     return x_path
 
 
@@ -269,32 +285,32 @@ def _mm_header(first_line: str, path, want_format: str) -> None:
             f"only general matrices are supported", line=1)
 
 
-def _mm_body(source) -> tuple[list[str], list[int], str]:
+def _mm_body(source) -> tuple[list[str], Callable[[int], int], str]:
+    """The stripped lines after the header that are not blank or % comments,
+    a function giving the line number of body[k], and the header line."""
     lines = _read_text(source).splitlines()
     if not lines:
         raise FixtureFormatError(f"{source}: empty file", line=1)
-    header = lines[0]
-    body = []
-    numbers = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        body.append(stripped)
-        numbers.append(lineno)
+    body = [s for s in map(str.strip, lines[1:]) if s and s[0] != "%"]
     if not body:
         raise FixtureFormatError(f"{source}: missing size line")
-    return body, numbers, header
+
+    def line_of(k: int) -> int:
+        kept = (lineno for lineno, raw in enumerate(lines[1:], start=2)
+                if (s := raw.strip()) and s[0] != "%")
+        return next(islice(kept, k, None))
+
+    return body, line_of, lines[0]
 
 
 def _read_mm_x(source, expected_n: int) -> np.ndarray:
-    body, numbers, header = _mm_body(source)
+    body, line_of, header = _mm_body(source)
     _mm_header(header, source, "array")
     dims = body[0].split()
     if len(dims) != 2 or dims[1] != "1" or not dims[0].isdecimal():
         raise FixtureFormatError(
             f"{source}: expected an N x 1 array size line, got {body[0]!r}",
-            numbers[0])
+            line_of(0))
     n = int(dims[0])
     if n != expected_n:
         raise FixtureValidationError(
@@ -304,9 +320,63 @@ def _read_mm_x(source, expected_n: int) -> np.ndarray:
         raise FixtureFormatError(
             f"{source}: expected {n} vector entries, got {len(body) - 1}")
     try:
-        return np.array([float(t) for t in body[1:]], dtype=np.float64)
+        return np.fromiter(map(float, islice(body, 1, None)), np.float64, n)
     except ValueError as exc:
         raise FixtureFormatError(f"{source}: {exc}") from None
+
+
+def _mm_entries(source, body, line_of, M: int, N: int):
+    """0-based rows, 0-based columns and values of the entry lines body[1:].
+
+    Each block of k lines, at most _BLOCK_LINES, is joined with " ; " and
+    split once. When that gives 4k - 1 tokens and every token off the k - 1
+    places of the separators in three-token lines passes int() or float(),
+    and so is not ";", the separators fill those places: no line held a ";"
+    and each held exactly three tokens. A block that fails any check hands
+    over to _raise_entry_error.
+    """
+    nnz = len(body) - 1
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz, dtype=np.float64)
+    try:
+        for lo in range(0, nnz, _BLOCK_LINES):
+            block = body[1 + lo:1 + lo + _BLOCK_LINES]
+            k = len(block)
+            tokens = " ; ".join(block).split()
+            if len(tokens) != 4 * k - 1:
+                raise ValueError("an entry line without 3 tokens")
+            r = np.fromiter(map(int, tokens[0::4]), np.int64, k)
+            c = np.fromiter(map(int, tokens[1::4]), np.int64, k)
+            if r.min() < 1 or r.max() > M or c.min() < 1 or c.max() > N:
+                raise ValueError("an entry outside the matrix")
+            np.subtract(r, 1, out=rows[lo:lo + k])
+            np.subtract(c, 1, out=cols[lo:lo + k])
+            vals[lo:lo + k] = np.fromiter(map(float, tokens[2::4]),
+                                          np.float64, k)
+    except (ValueError, OverflowError):
+        _raise_entry_error(source, body, line_of, M, N)
+        raise
+    return rows, cols, vals
+
+
+def _raise_entry_error(source, body, line_of, M: int, N: int) -> None:
+    """Raise the error of the first bad entry line in file order."""
+    for k, stripped in enumerate(islice(body, 1, None), start=1):
+        tokens = stripped.split()
+        if len(tokens) != 3:
+            raise FixtureFormatError(
+                f"{source}: entry must be 'row col value', got {stripped!r}",
+                line_of(k))
+        try:
+            r, c = int(tokens[0]), int(tokens[1])
+            float(tokens[2])
+        except ValueError as exc:
+            raise FixtureFormatError(f"{source}: {exc}", line_of(k)) from None
+        if not (1 <= r <= M and 1 <= c <= N):
+            raise FixtureFormatError(
+                f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}",
+                line_of(k))
 
 
 def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
@@ -316,47 +386,29 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
     path when present) and is otherwise generated from x_seed as small
     positive integers. z is always recomputed with the sorted-entry oracle.
     """
-    body, numbers, header = _mm_body(source)
+    body, line_of, header = _mm_body(source)
     _mm_header(header, source, "coordinate")
     size_tokens = body[0].split()
     if len(size_tokens) != 3:
         raise FixtureFormatError(
             f"{source}: size line must be 'M N NNZ', got {body[0]!r}",
-            numbers[0])
+            line_of(0))
     try:
         M, N, nnz = (int(t) for t in size_tokens)
     except ValueError:
         raise FixtureFormatError(
             f"{source}: size line must be integers, got {body[0]!r}",
-            numbers[0]) from None
+            line_of(0)) from None
     if M < 1 or N < 1 or nnz < 0:
         raise FixtureFormatError(
-            f"{source}: invalid sizes M={M} N={N} nnz={nnz}", numbers[0])
+            f"{source}: invalid sizes M={M} N={N} nnz={nnz}", line_of(0))
     if M * N > _MAX_CELLS:
         raise FixtureFormatError(
-            f"{source}: {M} x {N} exceeds {_MAX_CELLS} cells", numbers[0])
+            f"{source}: {M} x {N} exceeds {_MAX_CELLS} cells", line_of(0))
     if len(body) - 1 != nnz:
         raise FixtureFormatError(
             f"{source}: expected {nnz} entries, got {len(body) - 1}")
-    rows, cols, vals = [], [], []
-    for stripped, lineno in zip(body[1:], numbers[1:]):
-        tokens = stripped.split()
-        if len(tokens) != 3:
-            raise FixtureFormatError(
-                f"{source}: entry must be 'row col value', got {stripped!r}",
-                lineno)
-        try:
-            r, c = int(tokens[0]), int(tokens[1])
-            v = float(tokens[2])
-        except ValueError as exc:
-            raise FixtureFormatError(f"{source}: {exc}", lineno) from None
-        if not (1 <= r <= M and 1 <= c <= N):
-            raise FixtureFormatError(
-                f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}", lineno)
-        rows.append(r - 1)
-        cols.append(c - 1)
-        vals.append(v)
-    rows, cols = np.array([rows, cols], dtype=np.int64)
+    rows, cols, vals = _mm_entries(source, body, line_of, M, N)
     order = _cell_order(rows, cols, N)
     row_ptr = np.zeros(M + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=M), out=row_ptr[1:])
@@ -373,7 +425,7 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
         metadata["x_source"] = f"generated seed={x_seed}"
     # zeros stand in for z until the parsed arrays have passed the boundary
     fixture = Fixture(M=M, N=N, row_ptr=row_ptr, col_idx=cols[order],
-                      values=np.array(vals, dtype=np.float64)[order], x=x,
+                      values=vals[order], x=x,
                       z=np.zeros(M), metadata=metadata)
     validate_fixture(fixture)
     fixture.z = spmv_sorted_oracle(fixture.matrix(), fixture.x_vector()).values

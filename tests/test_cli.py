@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spmvsim
 from conftest import assert_fixture_equal
 from spmvsim import (MAX_RANKS, Fixture, read_fixture, reference_fixture,
                      write_fixture)
@@ -247,3 +252,22 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, command):
     assert main([argv[0], "--fixture", str(path), *argv[1:]]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_file_commands_name_their_encoding(tmp_path):
+    """Every file the CLI reads or writes is opened as UTF-8, so no command
+    depends on the locale's encoding."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(spmvsim.__file__).resolve().parents[1]))
+    for argv in (["gen", "--reference", "--out", "ref.fx"],
+                 ["convert", "--in", "ref.fx", "--out", "ref.mtx",
+                  "--format", "matrixmarket"],
+                 ["convert", "--in", "ref.mtx", "--out", "back.fx",
+                  "--format", "fixture"],
+                 ["run", "--fixture", "back.fx", "--mode", "dist",
+                  "--ranks", "3"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "spmvsim.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), argv

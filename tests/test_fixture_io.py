@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NON_INTEGER, assert_fixture_equal, csr_matrices
+from spmvsim import fixture_io
 from spmvsim import (
     FORMAT_HEADER,
     Fixture,
@@ -400,7 +402,7 @@ TOKENS = st.sampled_from(EDGE_TOKENS)
 
 
 @st.composite
-def mutated(draw, text):
+def mutated(draw, text, tokens=TOKENS):
     """A few token- and line-level edits of a valid document; most edits
     replace a token, which keeps every declared length intact."""
     lines = [ln.split(" ") for ln in text.splitlines()]
@@ -411,9 +413,9 @@ def mutated(draw, text):
             ["replace"] * 4 + ["insert", "drop-token", "drop-line",
                                "copy-line"]))
         if edit == "insert" or j == len(lines[i]):
-            lines[i].insert(j, draw(TOKENS | st.text(max_size=4)))
+            lines[i].insert(j, draw(tokens | st.text(max_size=4)))
         elif edit == "replace":
-            lines[i][j] = draw(TOKENS)
+            lines[i][j] = draw(tokens)
         elif edit == "drop-token":
             del lines[i][j]
         elif edit == "drop-line" and len(lines) > 1:
@@ -568,3 +570,243 @@ def test_mm_io_equals_sort_references(fx, data):
         (tmp / "ref.mtx").write_text("\n".join([head, size, *lines]) + "\n")
         back = import_matrix_market(tmp / "ref.mtx")
         assert_fixture_equal(back, import_by_triple_sort(tmp / "ref.mtx"))
+
+
+# -- bulk parsing against per-token references ------------------------------
+
+def parse_array_by_token(tokens, lineno, name, dtype):
+    """One array line converted a token at a time into a list: the
+    reference _parse_array must match."""
+    caster = fixture_io._int64 if dtype is np.int64 else float
+    if not tokens:
+        raise FixtureFormatError(f"{name}: missing length", lineno)
+    try:
+        declared = int(tokens[0])
+    except ValueError:
+        raise FixtureFormatError(
+            f"{name}: length {tokens[0]!r} is not an integer", lineno) from None
+    body = tokens[1:]
+    if len(body) != declared:
+        raise FixtureFormatError(
+            f"{name}: expected {declared} values, got {len(body)}", lineno)
+    try:
+        return [caster(t) for t in body]
+    except ValueError as exc:
+        raise FixtureFormatError(f"{name}: {exc}", lineno) from None
+
+
+def mm_body_two_lists(source):
+    """The kept lines and their line numbers built side by side: the
+    reference _mm_body must match."""
+    lines = fixture_io._read_text(source).splitlines()
+    if not lines:
+        raise FixtureFormatError(f"{source}: empty file", line=1)
+    header = lines[0]
+    body = []
+    numbers = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        body.append(stripped)
+        numbers.append(lineno)
+    if not body:
+        raise FixtureFormatError(f"{source}: missing size line")
+    return body, numbers.__getitem__, header
+
+
+def mm_entries_by_line(source, body, line_of, M, N):
+    """Each entry line split, converted and range-checked on its own: the
+    reference _mm_entries must match."""
+    rows, cols, vals = [], [], []
+    for k, stripped in enumerate(body[1:], start=1):
+        tokens = stripped.split()
+        if len(tokens) != 3:
+            raise FixtureFormatError(
+                f"{source}: entry must be 'row col value', got {stripped!r}",
+                line_of(k))
+        try:
+            r, c = int(tokens[0]), int(tokens[1])
+            v = float(tokens[2])
+        except ValueError as exc:
+            raise FixtureFormatError(f"{source}: {exc}", line_of(k)) from None
+        if not (1 <= r <= M and 1 <= c <= N):
+            raise FixtureFormatError(
+                f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}",
+                line_of(k))
+        rows.append(r - 1)
+        cols.append(c - 1)
+        vals.append(v)
+    rows, cols = np.array([rows, cols], dtype=np.int64)
+    return rows, cols, np.array(vals, dtype=np.float64)
+
+
+def read_mm_x_by_token(source, expected_n):
+    """The x array file converted a line at a time: the reference
+    _read_mm_x must match."""
+    body, line_of, header = fixture_io._mm_body(source)
+    fixture_io._mm_header(header, source, "array")
+    dims = body[0].split()
+    if len(dims) != 2 or dims[1] != "1" or not dims[0].isdecimal():
+        raise FixtureFormatError(
+            f"{source}: expected an N x 1 array size line, got {body[0]!r}",
+            line_of(0))
+    n = int(dims[0])
+    if n != expected_n:
+        raise FixtureValidationError(
+            f"{source}: x has {n} entries but the matrix has {expected_n} "
+            f"columns")
+    if len(body) - 1 != n:
+        raise FixtureFormatError(
+            f"{source}: expected {n} vector entries, got {len(body) - 1}")
+    try:
+        return np.array([float(t) for t in body[1:]], dtype=np.float64)
+    except ValueError as exc:
+        raise FixtureFormatError(f"{source}: {exc}") from None
+
+
+REFERENCES = {"_parse_array": parse_array_by_token,
+              "_mm_body": mm_body_two_lists,
+              "_mm_entries": mm_entries_by_line,
+              "_read_mm_x": read_mm_x_by_token}
+
+# integers at and just beyond int64's ends besides EDGE_TOKENS' own, one
+# past the seed matrix's 4 rows and 5 columns, and the separator
+# _mm_entries joins each block's lines with
+DIFF_TOKENS = st.sampled_from(EDGE_TOKENS + [
+    str(2**63 - 1), str(-2**63), str(-2**63 - 1), str(-2**64), "inf",
+    "5", "6", ";"])
+
+
+@st.composite
+def edge_documents(draw, name):
+    """A seed document, as is or mutated, with blank, whitespace and %
+    lines inserted and some lines ended by CRLF."""
+    text = draw(st.just(SEEDS[name]) | mutated(SEEDS[name], DIFF_TOKENS))
+    lines = text.split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "%", "% note", " \t "])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the class must match too, whatever it is
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(read, path, block_lines=fixture_io._BLOCK_LINES):
+    """read(path) with the module's parsers, in blocks of block_lines entry
+    lines, gives what it gives with the per-token references: the same
+    arrays and metadata bit for bit, or the same exception class and
+    message."""
+    with mock.patch.object(fixture_io, "_BLOCK_LINES", block_lines):
+        fast = outcome(read, path)
+    with mock.patch.multiple(fixture_io, **REFERENCES):
+        slow = outcome(read, path)
+    if isinstance(slow, tuple) or isinstance(fast, tuple):
+        assert fast == slow
+        return
+    assert (fast.M, fast.N, fast.metadata) == (slow.M, slow.N, slow.metadata)
+    for name in ("row_ptr", "col_idx", "values", "x", "z"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+DIFFERENTIAL = settings(max_examples=300, deadline=None)
+
+
+@DIFFERENTIAL
+@given(text=edge_documents("seed.fx"), check=st.booleans())
+def test_read_fixture_equals_token_references(text, check):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.fx"
+        path.write_bytes(text.encode())
+        assert_same_outcome(
+            lambda p: read_fixture(p, check_ground_truth=check), path)
+
+
+@DIFFERENTIAL
+@given(matrix=edge_documents("seed.mtx"), x=edge_documents("seed.x.mtx"),
+       block_lines=st.sampled_from([1, 2, 4, fixture_io._BLOCK_LINES]))
+def test_import_matrix_market_equals_line_references(matrix, x, block_lines):
+    # small blocks put a bad line in a later block than the first
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.mtx"
+        path.write_bytes(matrix.encode())
+        companion_x_path(path).write_bytes(x.encode())
+        assert_same_outcome(import_matrix_market, path, block_lines)
+
+
+def mm_text(entries, *, comment_every=0):
+    """A 100 x 100 coordinate file of the given entry lines, with a
+    comment and a blank line before the size line and a comment before
+    every comment_every-th entry; returns the text and the physical line
+    number of each entry."""
+    lines = ["%%MatrixMarket matrix coordinate real general", "% made here",
+             "", f"100 100 {len(entries)}"]
+    numbers = []
+    for k, entry in enumerate(entries):
+        if comment_every and k % comment_every == 0:
+            lines.append(f"% entry {k}")
+        lines.append(entry)
+        numbers.append(len(lines))
+    return "\n".join(lines) + "\n", numbers
+
+
+BAD_ENTRIES = [("7 8", r"entry must be 'row col value', got '7 8'"),
+               ("7 8 1.0 9", r"entry must be 'row col value', got '7 8 1.0 9'"),
+               ("7 8 x", r"could not convert string to float: 'x'"),
+               *((f"{r} {c} 1.0", rf"entry \({r}, {c}\) outside 1\.\.100 x 1\.\.100")
+                 for r, c in ((0, 7), (7, 0), (101, 7), (7, 101)))]
+
+
+@pytest.mark.parametrize("bad,message", BAD_ENTRIES)
+def test_mm_entry_error_names_physical_line(tmp_path, bad, message):
+    text, numbers = mm_text(["1 1 1.0", "2 2 2.0", bad], comment_every=2)
+    path = tmp_path / "bad.mtx"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FixtureFormatError, match=message) as exc:
+        import_matrix_market(path)
+    assert exc.value.line == numbers[2] == 9
+    assert str(exc.value).startswith(f"line 9: {path}: ")
+
+
+@pytest.mark.parametrize("bad,message", BAD_ENTRIES)
+def test_mm_entry_error_in_later_block_names_physical_line(tmp_path, bad,
+                                                           message):
+    n = 2 * fixture_io._BLOCK_LINES + 500
+    entries = [f"{k // 100 + 1} {k % 100 + 1} {k}.5" for k in range(n)]
+    text, numbers = mm_text(entries, comment_every=97)
+    path = tmp_path / "good.mtx"
+    path.write_text(text, encoding="utf-8")
+    assert import_matrix_market(path).nnz == n
+    bad_at = 2 * fixture_io._BLOCK_LINES + 123
+    entries[bad_at] = bad
+    text, numbers = mm_text(entries, comment_every=97)
+    path = tmp_path / "bad.mtx"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FixtureFormatError, match=message) as exc:
+        import_matrix_market(path)
+    assert exc.value.line == numbers[bad_at]
+
+
+def test_index_beyond_int64_names_its_line(tmp_path, ref):
+    ref.metadata = {"note": "two lines of metadata", "more": "here"}
+    path = tmp_path / "wide.fx"
+    write_fixture(ref, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lineno = next(k for k, line in enumerate(lines, start=1)
+                  if line.startswith("colidx "))
+    tokens = lines[lineno - 1].split(" ")
+    tokens[5] = str(2**63)
+    lines[lineno - 1] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FixtureFormatError) as exc:
+        read_fixture(path)
+    assert str(exc.value) == (f"line {lineno}: colidx: '{2**63}' does not "
+                              f"fit in int64")
