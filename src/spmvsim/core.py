@@ -4,10 +4,11 @@ Matrices carry local and global extents, so one container serves sequential
 use and the per-rank pieces of a block-row distribution (columns stay
 global). spmv_seq adds each row left to right in storage order on one of two
 paths with the same bits: a position-major sweep over the rows sorted longest
-first (ELLPACK/SELL-style, one numpy step per entry position) when there are
-rows enough to pay numpy's dispatch, else a plain row loop. The package
-checks it against spmv_sorted_oracle, an O(nnz) COO scatter-add in cell-key
-order; tests check that oracle against the paper's dense brute-force one.
+first (ELLPACK/SELL-style; the step for entry position k is one gather from
+the view prods[k:] of the products and one add) when there are rows enough
+to pay numpy's dispatch, else a plain row loop. The package checks it
+against spmv_sorted_oracle, an O(nnz) COO scatter-add in cell-key order;
+tests check that oracle against the paper's dense brute-force one.
 Both trust the input boundary's validate_csr (fixture_io.validate_fixture)
 and check only that x is as wide as the matrix.
 """
@@ -184,8 +185,10 @@ def _cell_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(rows * n + cols, kind="stable")
 
 
-# a sweep step costs numpy dispatch worth about 15-30 loop entries, so the
-# sweep needs at least this many entries per step on average to win
+# a sweep step costs numpy dispatch worth about 10-15 loop entries (1-2 us
+# against 110-150 ns on a 2-vCPU VM, from 16x16, 64x4 and 200x10 probes), and
+# the sweep's sort and scatter cost more again, so it takes the sweep only
+# from this many entries per step on average
 SWEEP_MIN_ENTRIES_PER_STEP = 32
 
 
@@ -234,7 +237,10 @@ def _spmv_sweep(mat: CsrMatrix, x: DenseVector) -> np.ndarray:
     """Position-major sweep: step k adds entry k of every row longer than k.
 
     Rows are ordered longest first, so the rows still active at step k are
-    a prefix of that order and one slice-add serves them all.
+    a prefix of that order. Entry k of a row starting at s is prods[s + k],
+    element s of the view prods[k:], so a step is one gather from that view
+    at the active rows' starts and one slice-add; no index array is built
+    per step.
     """
     lengths = np.diff(mat.row_ptr)
     order = np.argsort(-lengths, kind="stable")
@@ -246,7 +252,7 @@ def _spmv_sweep(mat: CsrMatrix, x: DenseVector) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         prods = mat.values * x.values[mat.col_idx]
         for k, c in enumerate(active):
-            acc[:c] += prods[starts[:c] + k]
+            acc[:c] += prods[k:][starts[:c]]
     out = np.empty(mat.m, dtype=np.float64)
     out[order] = acc
     return out
@@ -313,10 +319,13 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     """
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
-    rows = _row_ids(mat.row_ptr)
-    order = _cell_order(rows, mat.col_idx, mat.N)
+    order = _cell_order(_row_ids(mat.row_ptr), mat.col_idx, mat.N)
     out = np.zeros(mat.m, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         prods = mat.values[order] * x.values[mat.col_idx[order]]
-        np.add.at(out, rows[order], prods)
+        # the cell order moves entries only within their row, so the
+        # storage-order row ids are the cell-order ones; making them after
+        # order is gone keeps one nnz-sized array fewer alive
+        del order
+        np.add.at(out, _row_ids(mat.row_ptr), prods)
     return DenseVector(n=mat.m, N=mat.M, values=out)

@@ -129,6 +129,7 @@ def generate(params: GenParams) -> Fixture:
                   for c in counts]
         col_idx = (np.concatenate(picked) if picked
                    else np.array([], dtype=np.int64))
+        del picked  # the oracle below runs without this nnz-sized copy
     row_ptr = np.zeros(M + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
     nnz = int(row_ptr[-1])

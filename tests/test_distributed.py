@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spmvsim.core
 import spmvsim.distributed
 from conftest import NON_INTEGER
 from spmvsim import (
@@ -25,6 +26,7 @@ from spmvsim import (
     verify_distributed,
 )
 from spmvsim.collectives import exclusive_prefix_sums
+from spmvsim.core import _spmv_loop
 
 
 def test_reference_runs_match_ground_truth(ref):
@@ -231,3 +233,43 @@ def test_distributed_run_equals_sequential(case):
     parallel, serial = runs
     assert parallel.residual_sq.hex() == serial.residual_sq.hex()
     assert parallel.trace.dump() == serial.trace.dump()
+
+
+def order_sensitive_fixture():
+    """256 rows of 1 to 8 entries with non-integer values and x, so that
+    every rank block at K <= 4 has at least 64 rows and takes the sweep.
+    Every other row starts with a 1e16 product, and its later products of
+    1 to 2 each round the sum, so any other summation order changes bits."""
+    m, n = 256, 40
+    rng = np.random.default_rng(5)
+    lengths = np.arange(m) % 8 + 1
+    col_idx = np.concatenate([np.sort(rng.choice(n, size=k, replace=False))
+                              for k in lengths])
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.uniform(0.9, 1.3, size=len(col_idx))
+    values[row_ptr[:-1:2]] = 1e16
+    return with_oracle_z(Fixture(M=m, N=n, row_ptr=row_ptr, col_idx=col_idx,
+                                 values=values, x=rng.uniform(1.1, 1.6, n),
+                                 z=[]))
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_rank_sweeps_equal_row_loop_on_order_sensitive_rows(size, mode,
+                                                            monkeypatch):
+    fx = order_sensitive_fixture()
+    sweep = spmvsim.core._spmv_sweep
+    swept = []
+
+    def spy(mat, x):
+        swept.append(mat.m)
+        return sweep(mat, x)
+
+    monkeypatch.setattr(spmvsim.core, "_spmv_sweep", spy)
+    run = run_distributed(fx, size, mode=mode)
+    assert sorted(swept) == sorted(run.row_layout.local_sizes)
+    assert min(swept) >= 64
+    y = np.concatenate(run.per_rank_y).tobytes()
+    assert y == spmv_seq(fx.matrix(), fx.x_vector()).values.tobytes()
+    assert y == _spmv_loop(fx.matrix(), fx.x_vector()).tobytes()
+    assert verify_distributed(fx, size, mode=mode).overall

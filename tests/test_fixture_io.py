@@ -429,6 +429,7 @@ def seed_documents():
     """Valid canonical and Matrix Market texts of one small fixture."""
     fx = generate(GenParams(M=4, N=5, target_nnz=6, seed=2))
     fx.values[1] = -2.5
+    fx.z = spmv_sorted_oracle(fx.matrix(), fx.x_vector()).values
     fx.metadata = {"note": "seed"}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -439,6 +440,15 @@ def seed_documents():
 
 
 SEEDS = seed_documents()
+
+
+def test_seed_documents_pass_checked_reads(tmp_path):
+    for name in SEEDS:
+        (tmp_path / name).write_text(SEEDS[name])
+    fixture = read_fixture(tmp_path / "seed.fx", check_ground_truth=True)
+    assert fixture.values[1] == -2.5
+    assert_fixture_equal(import_matrix_market(tmp_path / "seed.mtx"), fixture,
+                         include_metadata=False)
 
 
 def parses_or_named_error(read, *args, **kwargs):
