@@ -2,13 +2,11 @@
 
 Matrices carry local and global extents, so one container serves sequential
 use and the per-rank pieces of a block-row distribution (columns stay
-global). spmv_seq adds each row left to right in storage order on one of two
-paths with the same bits: a position-major sweep over the rows sorted longest
-first (ELLPACK/SELL-style; the step for entry position k is one gather from
-the view prods[k:] of the products and one add) when there are rows enough
-to pay numpy's dispatch, else a plain row loop. The package checks it
-against spmv_sorted_oracle, an O(nnz) COO scatter-add in cell-key order;
-tests check that oracle against the paper's dense brute-force one.
+global). spmv_seq forms all products at once and adds them into their rows
+with np.bincount, which sums in storage order from +0.0 like a row loop;
+large matrices go in blocks of whole rows. The package checks it against
+spmv_sorted_oracle, an O(nnz) COO scatter-add in cell-key order with
+np.add.at; tests check that oracle against the paper's dense brute-force one.
 Both trust the input boundary's validate_csr (fixture_io.validate_fixture)
 and check only that x is as wide as the matrix.
 """
@@ -185,77 +183,60 @@ def _cell_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(rows * n + cols, kind="stable")
 
 
-# a sweep step costs numpy dispatch worth about 10-15 loop entries (1-2 us
-# against 110-150 ns on a 2-vCPU VM, from 16x16, 64x4 and 200x10 probes), and
-# the sweep's sort and scatter cost more again, so it takes the sweep only
-# from this many entries per step on average
-SWEEP_MIN_ENTRIES_PER_STEP = 32
+# entries per bincount call: larger matrices are summed in blocks of whole
+# rows holding at most this many entries (a longer row is a block of its
+# own). On the multiply-large matrix (303,617 entries), one whole-matrix call
+# kept two nnz-sized temporaries alive and made glibc trim and refault the
+# heap top, with hundreds of minor faults per call in a loop with
+# run_distributed; blocks of this size took 2 per operation.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     """Multiply a CSR matrix by a dense vector, each row left to right.
 
-    Every output entry starts from 0.0 and adds its row's products in
-    storage order, so the result is bitwise reproducible. Matrices with at
-    least SWEEP_MIN_ENTRIES_PER_STEP entries per entry position of their
-    longest row take the position-major sweep, the rest the row loop. The
-    two are bitwise equal: each row is 0.0 + p0 + p1 + ... in storage order
-    on both, every product and every add is one correctly rounded IEEE
-    operation, and separate numpy calls are never fused into an FMA or
-    reassociated. mat must have passed validate_csr and x.n must equal
-    mat.N: indices are global, so a local piece takes the full-width vector.
+    Every output entry is 0.0 + p0 + p1 + ... over its row's products
+    values[p] * x[col_idx[p]] in storage order, so the result is bitwise
+    reproducible. The products are formed at once, and
+    np.bincount(row_ids, weights=prods) sums them: it is one compiled loop
+    out[row_ids[p]] += prods[p] over ascending p into zeros, which is a row
+    loop's accumulation, one correctly rounded add at a time. Summing a
+    block of whole rows per call keeps that true, since no row's sum is
+    split between calls. mat must have passed validate_csr and x.n must
+    equal mat.N: indices are global, so a local piece takes the full-width
+    vector.
     """
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
-    # nnz <= m * longest, so the rule needs m >= SWEEP_MIN_ENTRIES_PER_STEP
-    # unless every row is empty; testing m first spares small rank blocks
-    # the row lengths
-    if (mat.m >= SWEEP_MIN_ENTRIES_PER_STEP and mat.nnz
-            >= SWEEP_MIN_ENTRIES_PER_STEP * int(np.diff(mat.row_ptr).max())):
-        out = _spmv_sweep(mat, x)
-    else:
-        out = _spmv_loop(mat, x)
+    rp, cj, av, xv = mat.row_ptr, mat.col_idx, mat.values, x.values
+    # overflow to inf and inf + -inf = nan stay silent, as in a Python loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mat.nnz <= _BLOCK_ENTRIES:
+            out = _row_sums(rp, cj, av, xv)
+        else:
+            out = np.empty(mat.m, dtype=np.float64)
+            r0 = 0
+            while r0 < mat.m:
+                p0 = int(rp[r0])
+                # the last row boundary within the block's entries, or the
+                # next one when row r0 alone is longer than a block
+                r1 = max(r0 + 1, int(np.searchsorted(
+                    rp, p0 + _BLOCK_ENTRIES, side="right")) - 1)
+                p1 = int(rp[r1])
+                out[r0:r1] = _row_sums(rp[r0:r1 + 1], cj[p0:p1], av[p0:p1], xv)
+                r0 = r1
     return DenseVector(n=mat.m, N=mat.M, values=out)
 
 
-def _spmv_loop(mat: CsrMatrix, x: DenseVector) -> np.ndarray:
-    """One Python loop per row: the fast path for few or long rows."""
-    rp = mat.row_ptr.tolist()
-    cj = mat.col_idx.tolist()
-    av = mat.values.tolist()
-    xs = x.values.tolist()
-    out = np.zeros(mat.m, dtype=np.float64)
-    for i in range(mat.m):
-        acc = 0.0
-        for p in range(rp[i], rp[i + 1]):
-            acc += av[p] * xs[cj[p]]
-        out[i] = acc
-    return out
-
-
-def _spmv_sweep(mat: CsrMatrix, x: DenseVector) -> np.ndarray:
-    """Position-major sweep: step k adds entry k of every row longer than k.
-
-    Rows are ordered longest first, so the rows still active at step k are
-    a prefix of that order. Entry k of a row starting at s is prods[s + k],
-    element s of the view prods[k:], so a step is one gather from that view
-    at the active rows' starts and one slice-add; no index array is built
-    per step.
-    """
-    lengths = np.diff(mat.row_ptr)
-    order = np.argsort(-lengths, kind="stable")
-    starts = mat.row_ptr[:-1][order]
-    # active[k]: the number of rows longer than k
-    active = (mat.m - np.cumsum(np.bincount(lengths))[:-1]).tolist()
-    acc = np.zeros(mat.m, dtype=np.float64)
-    # like the Python loop, overflow to inf and inf + -inf = nan stay silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        prods = mat.values * x.values[mat.col_idx]
-        for k, c in enumerate(active):
-            acc[:c] += prods[k:][starts[:c]]
-    out = np.empty(mat.m, dtype=np.float64)
-    out[order] = acc
-    return out
+def _row_sums(row_ptr, col_idx, values, x) -> np.ndarray:
+    """Row sums of the products of one block of whole rows, in storage
+    order from +0.0; the products take the gathered x's buffer."""
+    prods = x[col_idx]
+    np.multiply(values, prods, out=prods)
+    # with no entries this gives int64 zeros, which the float64 output
+    # (DenseVector, or spmv_seq's block array) turns into +0.0
+    return np.bincount(_row_ids(row_ptr), weights=prods,
+                       minlength=len(row_ptr) - 1)
 
 
 def residual_sq(y: DenseVector, z: DenseVector) -> float:

@@ -89,9 +89,10 @@ def extract_local(row_ptr, col_idx, values, row_layout: Layout,
     """Cut one rank's block of rows out of a global CSR matrix.
 
     The local row pointer is the global one over the owned rows shifted to
-    start at zero; colIdx and values are the contiguous global slices that
-    those rows address. Column indices are left global, matching what the
-    multiplication kernel expects.
+    start at zero; colIdx and values are views of the contiguous global
+    slices that those rows address, so the block shares their memory and
+    must be treated as read-only. Column indices are left global, matching
+    what the multiplication kernel expects.
     """
     if not 0 <= rank < row_layout.size:
         raise ValueError(f"rank {rank} out of range [0, {row_layout.size})")
@@ -110,6 +111,6 @@ def extract_local(row_ptr, col_idx, values, row_layout: Layout,
         rstart=rstart,
         cstart=cstart,
         row_ptr=rp[rstart:rend + 1] - base,
-        col_idx=cj[base:stop].copy(),
-        values=av[base:stop].copy(),
+        col_idx=cj[base:stop],
+        values=av[base:stop],
     )

@@ -26,6 +26,22 @@ def csr_matrices(draw, unique_columns, values=NON_INTEGER):
     return CsrMatrix.sequential(row_ptr.astype(np.int64), col_idx, values, n=n)
 
 
+def spmv_by_row_loop(mat, x):
+    """One Python add per stored entry, each row from 0.0 in storage order:
+    the reference spmv_seq must equal bit for bit."""
+    rp = mat.row_ptr.tolist()
+    cj = mat.col_idx.tolist()
+    av = mat.values.tolist()
+    xs = x.values.tolist()
+    out = np.zeros(mat.m, dtype=np.float64)
+    for i in range(mat.m):
+        acc = 0.0
+        for p in range(rp[i], rp[i + 1]):
+            acc += av[p] * xs[cj[p]]
+        out[i] = acc
+    return out
+
+
 @pytest.fixture
 def ref():
     return reference_fixture()

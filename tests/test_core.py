@@ -1,4 +1,4 @@
-"""CSR validation, both kernel paths, residual, and the two oracles."""
+"""CSR validation, the kernel, residual, and the two oracles."""
 
 import hashlib
 import warnings
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import NON_INTEGER, csr_matrices
+import spmvsim.core
+from conftest import NON_INTEGER, csr_matrices, spmv_by_row_loop
 from spmvsim import (
     CsrMatrix,
     DenseVector,
@@ -25,7 +26,6 @@ from spmvsim import (
     spmv_sorted_oracle,
     validate_csr,
 )
-from spmvsim.core import SWEEP_MIN_ENTRIES_PER_STEP, _spmv_loop, _spmv_sweep
 
 # known product of the bundled reference instance
 REF_Z = [40, 0, 12, 113, 69, 27, 0, 45, 0, 57, 0, 0, 73, 36, 20, 0, 14, 77,
@@ -234,15 +234,34 @@ def test_spmv_accumulates_left_to_right():
     assert spmv_seq(reversed_, ones).values[0] == 0.0
 
 
-ROWS = SWEEP_MIN_ENTRIES_PER_STEP
+@st.composite
+def skewed_products(draw):
+    """Many empty or 1 to 4 entry rows plus one full-width row in shuffled
+    column order, with non-integer values and x."""
+    n = draw(st.integers(5, 24))
+    m = draw(st.integers(1, 24))
+    full = draw(st.integers(0, m - 1))
+    short = st.lists(st.integers(0, n - 1), unique=True, max_size=4)
+    rows = [draw(st.permutations(range(n))) if i == full else draw(short)
+            for i in range(m)]
+    col_idx = [j for row in rows for j in row]
+    values = draw(st.lists(NON_INTEGER, min_size=len(col_idx),
+                           max_size=len(col_idx)))
+    x = draw(st.lists(NON_INTEGER, min_size=n, max_size=n))
+    row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    return (CsrMatrix.sequential(row_ptr, col_idx, values, n=n),
+            DenseVector.sequential(x))
+
+
+ROWS = 32
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=products(unique_columns=False))
+@given(case=products(unique_columns=False) | skewed_products())
 # a zero-row matrix
 @example(case=(CsrMatrix.sequential([0], [], [], n=3),
                DenseVector.sequential([0.5, -1.5, 2.5])))
-# enough rows for the sweep, all of them empty
+# many rows, all of them empty
 @example(case=(CsrMatrix.sequential([0] * (ROWS + 1), [], [], n=2),
                DenseVector.sequential([0.5, -1.5])))
 # +-0.0 against negative x: row 1's lone product is -0.0, which 0.0 + -0.0
@@ -254,16 +273,59 @@ ROWS = SWEEP_MIN_ENTRIES_PER_STEP
                                     [1e300, -1e300, 1e300, -3e300], n=2),
                DenseVector.sequential([1e10, 1e300])))
 # the order-sensitive row of test_spmv_accumulates_left_to_right, repeated
-# until the sweep would take it
 @example(case=(repeated_rows([0, 1, 2], [1e16, -1e16, 1.0], ROWS),
                DenseVector.sequential([1.0, 1.0, 1.0])))
 # 1e16 then sixteen 1.0: added in order every 1.0 is lost, summed pairwise
 # they are not
 @example(case=(repeated_rows(list(range(17)), [1e16] + [1.0] * 16, ROWS),
                DenseVector.sequential([1.0] * 17)))
-def test_sweep_equals_row_loop(case):
+def test_kernel_equals_row_loop(case):
     mat, x = case
-    assert _spmv_sweep(mat, x).tobytes() == _spmv_loop(mat, x).tobytes()
+    assert spmv_seq(mat, x).values.tobytes() == spmv_by_row_loop(mat, x).tobytes()
+
+
+def test_kernel_equals_row_loop_across_blocks(monkeypatch):
+    # blocks of at most 3 entries: small matrices cross many block
+    # boundaries, and every longer row is a block of its own
+    monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", 3)
+    test_kernel_equals_row_loop()
+
+
+def test_kernel_equals_row_loop_at_scale():
+    # the non-integer matrix of test_sorted_oracle_output_is_pinned: a
+    # NumPy change to np.bincount's accumulation order fails here
+    fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
+    rng = np.random.default_rng(7)
+    nnz = len(fx.values)
+    values = rng.normal(size=nnz) * 10.0 ** rng.integers(-8, 9, size=nnz)
+    mat = CsrMatrix.sequential(fx.row_ptr, fx.col_idx, values, n=fx.N)
+    x = DenseVector.sequential(rng.normal(size=fx.N))
+    assert mat.nnz > 9 * spmvsim.core._BLOCK_ENTRIES
+    assert spmv_seq(mat, x).values.tobytes() == spmv_by_row_loop(mat, x).tobytes()
+
+
+def test_kernel_equals_row_loop_on_a_skewed_matrix():
+    # 20000 x 20000, 0 to 4 entries per row plus one full row
+    n = 20000
+    rng = np.random.default_rng(11)
+    lengths = rng.integers(0, 5, size=n)
+    lengths[n // 2] = n
+    col_idx = np.concatenate([rng.choice(n, size=k, replace=False)
+                              for k in lengths])
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    mat = CsrMatrix.sequential(row_ptr, col_idx,
+                               rng.normal(size=len(col_idx)) * 1.37, n=n)
+    x = DenseVector.sequential(rng.normal(size=n))
+    assert spmv_seq(mat, x).values.tobytes() == spmv_by_row_loop(mat, x).tobytes()
+
+
+@pytest.mark.parametrize("row_ptr", [[0], [0, 0, 0, 0]])
+def test_spmv_without_entries_gives_float_positive_zeros(row_ptr):
+    y = spmv_seq(CsrMatrix.sequential(row_ptr, [], [], n=2),
+                 DenseVector.sequential([-1.5, 2.5])).values
+    assert y.dtype == np.float64
+    assert y.tolist() == [0.0] * (len(row_ptr) - 1)
+    assert not np.signbit(y).any()
 
 
 def test_spmv_paths_stay_silent_on_overflow():
@@ -271,8 +333,8 @@ def test_spmv_paths_stay_silent_on_overflow():
     x = DenseVector.sequential([1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _spmv_loop(mat, x).tolist() == [float("inf")]
-        assert _spmv_sweep(mat, x).tolist() == [float("inf")]
+        assert spmv_seq(mat, x).values.tolist() == [float("inf")]
+        assert spmv_by_row_loop(mat, x).tolist() == [float("inf")]
         assert spmv_sorted_oracle(mat, x).values.tolist() == [float("inf")]
         assert residual_sq(DenseVector.sequential([1e300]),
                            DenseVector.sequential([-1e300])) == float("inf")

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import spmvsim.core
 import spmvsim.distributed
-from conftest import NON_INTEGER
+from conftest import NON_INTEGER, spmv_by_row_loop
 from spmvsim import (
     MAX_RANKS,
     CollectiveError,
@@ -26,7 +25,6 @@ from spmvsim import (
     verify_distributed,
 )
 from spmvsim.collectives import exclusive_prefix_sums
-from spmvsim.core import _spmv_loop
 
 
 def test_reference_runs_match_ground_truth(ref):
@@ -40,6 +38,28 @@ def test_reference_runs_match_ground_truth(ref):
 def test_per_rank_result_lengths_follow_layout(ref):
     report = run_distributed(ref, 3)
     assert [len(y) for y in report.per_rank_y] == [11, 11, 10]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_rank_blocks_are_views_of_the_fixture(ref, monkeypatch, size):
+    before = {name: getattr(ref, name).copy()
+              for name in ("row_ptr", "col_idx", "values", "x", "z")}
+    extract = spmvsim.distributed.extract_local
+    blocks = []
+
+    def spy(*args):
+        blocks.append(extract(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(spmvsim.distributed, "extract_local", spy)
+    assert run_distributed(ref, size).residual_sq == 0.0
+    for name, array in before.items():
+        assert getattr(ref, name).tobytes() == array.tobytes(), name
+    assert len(blocks) == size
+    for local in blocks:
+        assert local.nnz
+        assert np.shares_memory(local.col_idx, ref.col_idx)
+        assert np.shares_memory(local.values, ref.values)
 
 
 def test_gather_path_even_split(ref):
@@ -237,9 +257,9 @@ def test_distributed_run_equals_sequential(case):
 
 def order_sensitive_fixture():
     """256 rows of 1 to 8 entries with non-integer values and x, so that
-    every rank block at K <= 4 has at least 64 rows and takes the sweep.
-    Every other row starts with a 1e16 product, and its later products of
-    1 to 2 each round the sum, so any other summation order changes bits."""
+    every rank block at K <= 4 has at least 64 rows. Every other row starts
+    with a 1e16 product, and its later products of 1 to 2 each round the
+    sum, so any other summation order changes bits."""
     m, n = 256, 40
     rng = np.random.default_rng(5)
     lengths = np.arange(m) % 8 + 1
@@ -255,21 +275,10 @@ def order_sensitive_fixture():
 
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
-def test_rank_sweeps_equal_row_loop_on_order_sensitive_rows(size, mode,
-                                                            monkeypatch):
+def test_rank_sweeps_equal_row_loop_on_order_sensitive_rows(size, mode):
     fx = order_sensitive_fixture()
-    sweep = spmvsim.core._spmv_sweep
-    swept = []
-
-    def spy(mat, x):
-        swept.append(mat.m)
-        return sweep(mat, x)
-
-    monkeypatch.setattr(spmvsim.core, "_spmv_sweep", spy)
     run = run_distributed(fx, size, mode=mode)
-    assert sorted(swept) == sorted(run.row_layout.local_sizes)
-    assert min(swept) >= 64
     y = np.concatenate(run.per_rank_y).tobytes()
     assert y == spmv_seq(fx.matrix(), fx.x_vector()).values.tobytes()
-    assert y == _spmv_loop(fx.matrix(), fx.x_vector()).tobytes()
+    assert y == spmv_by_row_loop(fx.matrix(), fx.x_vector()).tobytes()
     assert verify_distributed(fx, size, mode=mode).overall

@@ -264,8 +264,9 @@ def test_per_rank_check_catches_a_wrong_block(ref, monkeypatch):
     # the run uses the wrong blocks, so only an independent product sees it
     def last_value_plus_one(*args):
         local = extract_local(*args)
-        local.values[-1] += 1.0
-        return local
+        values = local.values.copy()
+        values[-1] += 1.0
+        return dataclasses.replace(local, values=values)
 
     patch_bindings(monkeypatch, extract_local, last_value_plus_one)
     by_name = {c.name: c for c in verify_distributed(ref, 3).checks}
@@ -399,8 +400,9 @@ def reversed_allgather(monkeypatch, fx):
 def wrong_extract_local_value(monkeypatch, fx):
     def last_value_plus_half(*args):
         local = extract_local(*args)
-        local.values[-1:] += 0.5
-        return local
+        values = local.values.copy()
+        values[-1:] += 0.5
+        return dataclasses.replace(local, values=values)
 
     patch_bindings(monkeypatch, extract_local, last_value_plus_half)
 
