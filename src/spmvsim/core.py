@@ -5,8 +5,10 @@ use and the per-rank pieces of a block-row distribution (columns stay
 global). spmv_seq forms all products at once and adds them into their rows
 with np.bincount, which sums in storage order from +0.0 like a row loop;
 large matrices go in blocks of whole rows. The package checks it against
-spmv_sorted_oracle, an O(nnz) COO scatter-add in cell-key order with
-np.add.at; tests check that oracle against the paper's dense brute-force one.
+spmv_sorted_oracle, a COO scatter-add in cell-key order with np.add.at that
+takes O(nnz) time and works through blocks of whole rows of its own, so its
+temporaries fit in one block; tests check that oracle against the paper's
+dense brute-force one.
 Both trust the input boundary's validate_csr (fixture_io.validate_fixture)
 and check only that x is as wide as the matrix.
 """
@@ -183,9 +185,10 @@ def _cell_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(rows * n + cols, kind="stable")
 
 
-# entries per bincount call: larger matrices are summed in blocks of whole
-# rows holding at most this many entries (a longer row is a block of its
-# own). On the multiply-large matrix (303,617 entries), one whole-matrix call
+# entries per block: spmv_seq's bincount calls and the oracle's np.add.at
+# calls each take a block of whole rows holding at most this many entries (a
+# longer row is a block of its own), each cut by its own code. On the
+# multiply-large matrix (303,617 entries), one whole-matrix bincount call
 # kept two nnz-sized temporaries alive and made glibc trim and refault the
 # heap top, with hundreds of minor faults per call in a loop with
 # run_distributed; blocks of this size took 2 per operation.
@@ -287,26 +290,52 @@ def spmv_dense_oracle(dense: DenseMatrix, x: DenseVector) -> DenseVector:
 
 
 def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
-    """Sorted-entry product in O(nnz), the independent check for spmv_seq.
+    """Sorted-entry product in O(nnz) time, the independent check for spmv_seq.
 
     A COO scatter-add: np.add.at adds each product into its row in cell-key
     (row * N + col) order, so each row is 0.0 + p0 + p1 + ... by ascending
     column. For finite inputs that equals the dense oracle on dense_from_csr
     bit for bit: a dense row's extra products are +-0.0, which never change a
-    sum begun at +0.0. The kernel gathers in storage order instead, with
-    other code and another order. np.add.at's index-order accumulation is
-    undocumented; test_sorted_oracle_output_is_pinned fails if it changes.
-    Like spmv_seq, it needs a validated mat and x.n == mat.N.
+    sum begun at +0.0. It works through blocks of whole rows that hold at
+    most _BLOCK_ENTRIES entries or one longer row, so its temporaries fit in
+    one block; the cell order moves entries only within their row, so the
+    blocks change no sum. The kernel gathers in storage order instead, with
+    other code, another order and its own block loop. np.add.at's
+    index-order accumulation is undocumented;
+    test_sorted_oracle_output_is_pinned fails if it changes. Like spmv_seq,
+    it needs a validated mat and x.n == mat.N.
     """
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
-    order = _cell_order(_row_ids(mat.row_ptr), mat.col_idx, mat.N)
+    rp, cj, av, xv = mat.row_ptr, mat.col_idx, mat.values, x.values
+    bounds = _oracle_blocks(rp).tolist()
     out = np.zeros(mat.m, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = mat.values[order] * x.values[mat.col_idx[order]]
-        # the cell order moves entries only within their row, so the
-        # storage-order row ids are the cell-order ones; making them after
-        # order is gone keeps one nnz-sized array fewer alive
-        del order
-        np.add.at(out, _row_ids(mat.row_ptr), prods)
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            p0, p1 = int(rp[r0]), int(rp[r1])
+            rows = _row_ids(rp[r0:r1 + 1])
+            order = _cell_order(rows, cj[p0:p1], mat.N)
+            prods = xv[cj[p0:p1][order]]
+            np.multiply(av[p0:p1][order], prods, out=prods)
+            # the cell order moves entries only within their row, so the
+            # storage-order row ids are the cell-order ones
+            del order
+            np.add.at(out[r0:r1], rows, prods)
     return DenseVector(n=mat.m, N=mat.M, values=out)
+
+
+def _oracle_blocks(row_ptr: np.ndarray) -> np.ndarray:
+    """Ascending row boundaries that cut a CSR matrix into the oracle's
+    blocks: 0, m and, for each entry position k * _BLOCK_ENTRIES with
+    0 < k * _BLOCK_ENTRIES <= nnz, the last row start at or before it and
+    the first at or after it. Between the two cuts of one position lies at
+    most one row, and between the first cut of one position and the last
+    cut of the next lie at most _BLOCK_ENTRIES entries."""
+    marks = np.arange(_BLOCK_ENTRIES, int(row_ptr[-1]) + 1, _BLOCK_ENTRIES)
+    cuts = np.sort(np.concatenate((
+        [0, len(row_ptr) - 1],
+        np.searchsorted(row_ptr, marks, side="right") - 1,
+        np.searchsorted(row_ptr, marks, side="left"))))
+    # not np.unique: under NumPy 2.4 its first call imports numpy.ma, about
+    # 1 MB of resident memory
+    return cuts[np.diff(cuts, prepend=-1) > 0]

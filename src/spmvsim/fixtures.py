@@ -109,33 +109,38 @@ def generate(params: GenParams) -> Fixture:
 
     target_nnz mode draws exactly that many distinct cells uniformly over
     the M x N grid. row_fill mode draws a per-row entry count uniformly from
-    0..min(row_fill, N), then that many distinct columns. Column indices
-    are strictly increasing within each row either way.
+    0..min(row_fill, N), then that many distinct columns straight into the
+    row's slice of col_idx. Column indices are strictly increasing within
+    each row either way. Beyond the arrays it returns, generation needs only
+    the oracle's one block of scratch memory.
     """
     params.validate()
     rng = np.random.default_rng(params.seed)
     M, N = params.M, params.N
     # draw in a fixed order (structure, values, x) so fixtures are stable
     if params.target_nnz is not None:
-        cells = np.sort(rng.choice(M * N, size=params.target_nnz,
-                                   replace=False))
-        rows = cells // N
-        col_idx = cells % N
-        counts = np.bincount(rows, minlength=M)
+        # the sorted cell keys row * N + col become the column indices in
+        # place, so no other nnz-sized array is made
+        col_idx = rng.choice(M * N, size=params.target_nnz, replace=False)
+        col_idx.sort()
+        row_ptr = np.searchsorted(col_idx, np.arange(M + 1) * N)
+        np.remainder(col_idx, N, out=col_idx)
     else:
         cap = min(params.row_fill, N)
-        counts = rng.integers(0, cap + 1, size=M)
-        picked = [np.sort(rng.choice(N, size=int(c), replace=False))
-                  for c in counts]
-        col_idx = (np.concatenate(picked) if picked
-                   else np.array([], dtype=np.int64))
-        del picked  # the oracle below runs without this nnz-sized copy
-    row_ptr = np.zeros(M + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    nnz = int(row_ptr[-1])
+        row_ptr = np.zeros(M + 1, dtype=np.int64)
+        np.cumsum(rng.integers(0, cap + 1, size=M), out=row_ptr[1:])
+        col_idx = np.empty(int(row_ptr[-1]), dtype=np.int64)
+        for p0, p1 in zip(row_ptr[:-1].tolist(), row_ptr[1:].tolist()):
+            row = col_idx[p0:p1]
+            row[:] = rng.choice(N, size=p1 - p0, replace=False)
+            row.sort()
     vlo, vhi = params.value_range
     xlo, xhi = params.x_range
-    values = rng.integers(vlo, vhi + 1, size=nnz).astype(np.float64)
+    drawn = rng.integers(vlo, vhi + 1, size=len(col_idx))
+    # cast the int64 draws to float64 in their own buffer: each element is
+    # read before it is overwritten, so no second nnz-sized array is made
+    values = drawn.view(np.float64)
+    values[...] = drawn
     x = rng.integers(xlo, xhi + 1, size=N).astype(np.float64)
     mat = CsrMatrix.sequential(row_ptr, col_idx, values, n=N)
     z = spmv_sorted_oracle(mat, DenseVector.sequential(x)).values
@@ -151,8 +156,7 @@ def generate(params: GenParams) -> Fixture:
         metadata["target_nnz"] = str(params.target_nnz)
     else:
         metadata["row_fill"] = str(params.row_fill)
-    return Fixture(M=M, N=N, row_ptr=row_ptr,
-                   col_idx=np.asarray(col_idx, dtype=np.int64),
+    return Fixture(M=M, N=N, row_ptr=row_ptr, col_idx=col_idx,
                    values=values, x=x, z=z, metadata=metadata)
 
 

@@ -1,6 +1,7 @@
 """CSR validation, the kernel, residual, and the two oracles."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -428,7 +429,7 @@ def order_sensitive_row(n, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=products())
+@given(case=products() | skewed_products())
 # a zero-row matrix
 @example(case=(CsrMatrix.sequential([0], [], [], n=3),
                DenseVector.sequential([0.5, -1.5, 2.5])))
@@ -452,6 +453,48 @@ def test_sorted_oracle_equals_entry_loop(case):
     mat, x = case
     assert (spmv_sorted_oracle(mat, x).values.tobytes()
             == oracle_by_entry_loop(mat, x).tobytes())
+
+
+def test_sorted_oracle_equals_entry_loop_across_blocks(monkeypatch):
+    # blocks of at most 3 entries: small matrices cross many block
+    # boundaries, and every longer row is a block of its own
+    monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", 3)
+    test_sorted_oracle_equals_entry_loop()
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_oracle_blocks_hold_whole_rows_within_the_bound(monkeypatch, block):
+    monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(block)
+    for _ in range(200):
+        lengths = rng.integers(0, 3, size=rng.integers(0, 30))
+        if len(lengths):
+            # one row can be longer than any block
+            lengths[rng.integers(len(lengths))] = rng.integers(0, 25)
+        row_ptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        bounds = spmvsim.core._oracle_blocks(row_ptr)
+        assert bounds[0] == 0 and bounds[-1] == len(lengths)
+        assert np.all(np.diff(bounds) > 0)
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            assert r1 - r0 == 1 or row_ptr[r1] - row_ptr[r0] <= block, (
+                lengths, bounds)
+
+
+def test_sorted_oracle_temporaries_fit_in_one_block():
+    # NumPy reports its buffers to tracemalloc: on the 303,617-entry
+    # matrix, one nnz-sized array alone takes 2.4 MB
+    fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
+    mat = CsrMatrix.sequential(fx.row_ptr, fx.col_idx, fx.values, n=fx.N)
+    x = DenseVector.sequential(fx.x)
+    spmv_sorted_oracle(CsrMatrix.sequential([0, 1], [0], [1.0], n=1),
+                       DenseVector.sequential([1.0]))  # lazy imports stay out
+    tracemalloc.start()
+    try:
+        spmv_sorted_oracle(mat, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_sorted_oracle_output_is_pinned():

@@ -1,5 +1,8 @@
 """Fixture generation and the bundled reference instance."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,55 @@ def test_same_seed_is_bit_identical():
     for name in ("row_ptr", "col_idx", "values", "x", "z"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.metadata == b.metadata
+
+
+# sha256 prefixes of the row_ptr, col_idx, values, x and z bytes, from the
+# generator that built each row from its own array and concatenated them
+PINNED_FIXTURES = [
+    # the benchmark's multiply-large fixture
+    (dict(M=3000, N=3000, row_fill=200, seed=1),
+     ("0b18bd9e61483565", "659a3bda84c5287b", "58f9ca98f943e0a4",
+      "ae5d8a94c1dd04a0", "16771663b9bfd999")),
+    # the benchmark's first fixture-pipeline fixture
+    (dict(M=700, N=700, target_nnz=4900, seed=100001),
+     ("8f8a945360e040e5", "99eacb2b8ae49196", "e370e6e30865186b",
+      "1fc70b219c619e1f", "87543410aa7994bb")),
+    (dict(M=40, N=30, row_fill=0, seed=5),
+     ("7b4499c3cc6e82a9", "e3b0c44298fc1c14", "e3b0c44298fc1c14",
+      "a11b5121f470a2cf", "7b6436b0c98f6238")),
+    # row_fill above N: rows of all N columns are possible
+    (dict(M=25, N=30, row_fill=45, seed=6),
+     ("3af5ef9b353af10e", "0f9e84dc40fa39c0", "255afbc495e35d0c",
+      "31217283211c5bca", "6157ba5dc71d2d22")),
+    (dict(M=1, N=1, target_nnz=1, seed=7),
+     ("9d34149fbd1fe777", "af5570f5a1810b7a", "9ee2b49423e1506e",
+      "3e6357a56fbae744", "829f14aeeba2d084")),
+]
+
+
+@pytest.mark.parametrize("kwargs, digests", PINNED_FIXTURES)
+def test_generated_bits_are_pinned(kwargs, digests):
+    fx = generate(GenParams(**kwargs))
+    got = tuple(hashlib.sha256(getattr(fx, name).tobytes()).hexdigest()[:16]
+                for name in ("row_ptr", "col_idx", "values", "x", "z"))
+    assert got == digests
+
+
+def test_generate_peak_memory_is_near_the_fixture_size():
+    # NumPy reports its buffers to tracemalloc, so the peak is exact: the
+    # fixture's own arrays plus the oracle's one row block, about 1.2 times
+    # the fixture. One more nnz-sized array would make it 1.7 times.
+    params = GenParams(M=3000, N=3000, row_fill=200, seed=1)
+    generate(GenParams(M=2, N=2, row_fill=2))  # lazy imports stay out
+    tracemalloc.start()
+    try:
+        fx = generate(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(fx, name).nbytes
+               for name in ("row_ptr", "col_idx", "values", "x", "z"))
+    assert peak <= 1.4 * size, (peak, size)
 
 
 def test_different_seeds_differ():

@@ -157,6 +157,21 @@ def test_extract_local_reference_rank1_of_3():
     assert local.col_idx.max() >= local.n
 
 
+def test_extract_local_blocks_are_read_only():
+    fx = reference_fixture()
+    before = (fx.col_idx.tobytes(), fx.values.tobytes())
+    rows = build_layout(fx.M, 3)
+    cols = build_layout(fx.N, 3)
+    local = extract_local(fx.row_ptr, fx.col_idx, fx.values, rows, cols, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        local.col_idx[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        local.values[-1] += 1.0
+    assert (fx.col_idx.tobytes(), fx.values.tobytes()) == before
+    # only the views are read-only, not the fixture's own arrays
+    assert fx.col_idx.flags.writeable and fx.values.flags.writeable
+
+
 def test_extract_local_zero_row_rank():
     fx = generate(GenParams(M=4, N=4, row_fill=2, seed=5))
     rows = build_layout(fx.M, 6)
