@@ -6,7 +6,6 @@ from .core import (
     CsrMatrix,
     DenseMatrix,
     DenseVector,
-    DuplicateEntry,
     SizeMismatch,
     ValidationReport,
     dense_from_csr,
@@ -66,16 +65,16 @@ from .fixture_io import (
 from .verify import (
     CheckResult,
     VerificationReport,
-    verify_distributed,
+    verify_fixture,
     verify_sequential,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CsrMatrix", "DenseMatrix", "DenseVector", "DuplicateEntry",
-    "SizeMismatch", "ValidationReport", "dense_from_csr", "residual_sq",
-    "spmv_dense_oracle", "spmv_seq", "spmv_sorted_oracle", "validate_csr",
+    "CsrMatrix", "DenseMatrix", "DenseVector", "SizeMismatch",
+    "ValidationReport", "dense_from_csr", "residual_sq", "spmv_dense_oracle",
+    "spmv_seq", "spmv_sorted_oracle", "validate_csr",
     "Layout", "LayoutSumMismatch", "block_local_size", "build_layout",
     "extract_local",
     "MAX_RANKS", "CollectiveEngine", "CollectiveError", "CollectiveMismatch",
@@ -88,7 +87,6 @@ __all__ = [
     "FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
     "companion_x_path", "export_matrix_market", "import_matrix_market",
     "read_fixture", "validate_fixture", "write_fixture",
-    "CheckResult", "VerificationReport", "verify_distributed",
-    "verify_sequential",
+    "CheckResult", "VerificationReport", "verify_fixture", "verify_sequential",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from .fixture_io import (FixtureFormatError, FixtureValidationError,
                          export_matrix_market, import_matrix_market,
                          read_fixture, write_fixture, FORMAT_HEADER)
 from .fixtures import GenParams, InvalidGenParams, generate, reference_fixture
-from .verify import verify_distributed, verify_sequential
+from .verify import verify_fixture
 
 # anything wrong with the request or its data is a usage error (exit 2);
 # only a failed numerical verdict exits 1
@@ -106,10 +106,7 @@ def cmd_verify(args) -> int:
         print(f"error: --ranks-list must name counts in 1..{MAX_RANKS}, got "
               f"{args.ranks_list!r}", file=sys.stderr)
         return 2
-    sections = [("sequential", verify_sequential(fixture))]
-    for k in ranks:
-        sections.append((f"distributed size={k}", verify_distributed(
-            fixture, k, explicit_rows, explicit_cols)))
+    sections = verify_fixture(fixture, ranks, explicit_rows, explicit_cols)
     all_ok = all(report.overall for _, report in sections)
     if args.json:
         payload = [{"section": name, "overall": report.overall,

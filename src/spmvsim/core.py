@@ -9,8 +9,9 @@ spmv_sorted_oracle, a COO scatter-add in cell-key order with np.add.at that
 takes O(nnz) time and works through blocks of whole rows of its own, so its
 temporaries fit in one block; tests check that oracle against the paper's
 dense brute-force one.
-Both trust the input boundary's validate_csr (fixture_io.validate_fixture)
-and check only that x is as wide as the matrix.
+Both, and dense_from_csr, trust the input boundary's validate_csr
+(fixture_io.validate_fixture); the products check only that x is as wide
+as the matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "DenseMatrix",
     "ValidationReport",
     "SizeMismatch",
-    "DuplicateEntry",
     "validate_csr",
     "spmv_seq",
     "residual_sq",
@@ -37,10 +37,6 @@ __all__ = [
 
 class SizeMismatch(ValueError):
     """Operand shapes do not conform."""
-
-
-class DuplicateEntry(ValueError):
-    """The same (row, column) cell is stored more than once."""
 
 
 @dataclass
@@ -123,7 +119,6 @@ class ValidationReport:
 
     ok: bool
     violations: list[str] = field(default_factory=list)
-    duplicate_cell: tuple[int, int] | None = None
 
 
 def validate_csr(mat: CsrMatrix) -> ValidationReport:
@@ -132,8 +127,7 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     Checks: row pointer length, zero start, monotonicity, agreement of
     row_ptr[m] with the stored entry count, column indices within [0, N),
     local block placement within the global extents and, once all of those
-    hold, no cell stored twice; the lowest such (row, column) is returned
-    as duplicate_cell.
+    hold, no cell stored twice, naming the lowest such (row, column).
     """
     v: list[str] = []
     rp, cj, av = mat.row_ptr, mat.col_idx, mat.values
@@ -162,15 +156,14 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
         v.append(f"row block [{mat.rstart}, {mat.rstart + mat.m}) outside [0, {mat.M})")
     if not (0 <= mat.cstart and mat.cstart + mat.n <= mat.N):
         v.append(f"column block [{mat.cstart}, {mat.cstart + mat.n}) outside [0, {mat.N})")
-    duplicate = None
     if not v:
         # sorted row-major cell keys sit side by side exactly when repeated
         keys = np.sort(_row_ids(rp) * mat.N + cj)
         repeats = np.nonzero(keys[1:] == keys[:-1])[0]
         if len(repeats):
-            duplicate = divmod(int(keys[repeats[0]]), mat.N)
-            v.append(f"duplicate cell {duplicate} stored more than once")
-    return ValidationReport(ok=not v, violations=v, duplicate_cell=duplicate)
+            cell = divmod(int(keys[repeats[0]]), mat.N)
+            v.append(f"duplicate cell {cell} stored more than once")
+    return ValidationReport(ok=not v, violations=v)
 
 
 def _row_ids(row_ptr: np.ndarray) -> np.ndarray:
@@ -259,16 +252,8 @@ def residual_sq(y: DenseVector, z: DenseVector) -> float:
 
 
 def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
-    """Expand a CSR matrix into dense m x N storage.
-
-    Raises DuplicateEntry on a cell stored twice, since the dense form
-    cannot represent summed duplicates faithfully, and ValueError on any
-    other validate_csr violation.
-    """
-    report = validate_csr(mat)
-    if not report.ok:
-        error = DuplicateEntry if report.duplicate_cell else ValueError
-        raise error("invalid CSR: " + report.violations[0])
+    """Expand a CSR matrix into dense m x N storage. mat must have passed
+    validate_csr: of a cell stored twice, dense storage keeps one value."""
     dense = np.zeros((mat.m, mat.N), dtype=np.float64)
     dense[_row_ids(mat.row_ptr), mat.col_idx] = mat.values
     return DenseMatrix(m=mat.m, n=mat.N, values=dense)

@@ -1,11 +1,11 @@
 """Verification obligations packaged as structured pass/fail reports.
 
-Each entry point evaluates every check it owns, never stopping at the first
-failure and never raising, and returns a report whose overall verdict is
-the conjunction of the individual outcomes. Details carry the observed
-numbers so a failing report is diagnosable on its own. A fixture that
-validate_fixture rejects gets one failed input-valid check and no other.
-verify_distributed judges the run it makes, from that run's own report.
+verify_fixture validates a fixture once, multiplies it once and returns a
+report per section. Each section evaluates every check it owns, never
+stopping at the first failure and never raising; its overall verdict is the
+conjunction of the outcomes, and details carry the observed numbers so a
+failing report is diagnosable on its own. A fixture that validate_fixture
+rejects gets one failed input-valid check in every section and no other.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .fixture_io import FixtureValidationError, validate_fixture
 from .fixtures import Fixture
 from .layout import LayoutSumMismatch
 
-__all__ = ["CheckResult", "VerificationReport", "verify_sequential",
-           "verify_distributed"]
+__all__ = ["CheckResult", "VerificationReport", "verify_fixture",
+           "verify_sequential"]
 
 
 @dataclass(frozen=True)
@@ -74,71 +74,84 @@ def _steps_down(sizes) -> bool:
             and max(sizes, default=0) - min(sizes, default=0) <= 1)
 
 
-def _invalid_input(fixture: Fixture) -> CheckResult | None:
-    """The failed input-valid check of a fixture validate_fixture rejects."""
+def verify_fixture(fixture: Fixture, sizes=(), explicit_row_sizes=None,
+                   explicit_col_sizes=None, *, mode: str = "parallel"
+                   ) -> list[tuple[str, VerificationReport]]:
+    """The "sequential" section, then one "distributed size=K" section per
+    K in sizes, in order. One spmv_seq product of the fixture's own arrays
+    serves them all; if it raises, the sequential section's first check
+    and each distributed section's distributed-run check name the
+    exception, unless that section's run fails first."""
+    names = ["sequential", *(f"distributed size={k}" for k in sizes)]
     try:
         validate_fixture(fixture)
     except FixtureValidationError as exc:
-        return CheckResult("input-valid", False, str(exc))
-    return None
+        invalid = CheckResult("input-valid", False, str(exc))
+        return [(name, VerificationReport(checks=[invalid])) for name in names]
+    mat, x = fixture.matrix(), fixture.x_vector()
+    try:
+        y = spmv_seq(mat, x)
+    except Exception as exc:
+        y = exc
+    reports = [_sequential(fixture, mat, x, y)]
+    reports += [_distributed(fixture, y, k, explicit_row_sizes,
+                             explicit_col_sizes, mode) for k in sizes]
+    return list(zip(names, reports))
 
 
 def verify_sequential(fixture: Fixture) -> VerificationReport:
-    """Check the sequential kernel of a fixture against its ground truth.
+    """The sequential section of verify_fixture(fixture)."""
+    return verify_fixture(fixture)[0][1]
 
-    Checks: exact agreement of the CSR kernel with the sorted-entry oracle
-    (spmv_sorted_oracle, itself tested against the dense reference) and the
-    squared residual against the stored product staying within tolerance.
-    A kernel, or a residual of its product, that raises fails the first,
-    naming the exception, and leaves the second not evaluated.
+
+def _sequential(fixture: Fixture, mat, x, product) -> VerificationReport:
+    """Checks: exact agreement of the product of mat and x with the
+    sorted-entry oracle (spmv_sorted_oracle, itself tested against the dense
+    reference) and its squared residual against the stored z staying within
+    tolerance. A product that raised, or a residual of it that raises, fails
+    the first, naming the exception, and leaves the second not evaluated.
     """
-    if invalid := _invalid_input(fixture):
-        return VerificationReport(checks=[invalid])
-    checks: list[CheckResult] = []
-    mat = fixture.matrix()
-    x = fixture.x_vector()
     try:
-        y = spmv_seq(mat, x)
-        rsq = residual_sq(y, fixture.z_vector())
+        if isinstance(product, Exception):
+            raise product
+        rsq = residual_sq(product, fixture.z_vector())
     except Exception as exc:
         return VerificationReport(checks=[
             CheckResult("kernel-matches-oracle", False,
                         f"{type(exc).__name__}: {exc}"),
             CheckResult("residual-within-tolerance", False,
                         "not evaluated: the kernel or its residual raised")])
-    oracle = spmv_sorted_oracle(mat, x)
-    same = _same(y.values, oracle.values)
-    checks.append(CheckResult(
-        "kernel-matches-oracle", same,
-        "kernel output equals sorted-entry oracle exactly" if same
-        else _first_diff(y.values, oracle.values)))
-    ok = check_pass(rsq)
-    checks.append(CheckResult(
-        "residual-within-tolerance", ok, f"residualSq == {rsq!r}"))
-    return VerificationReport(checks=checks)
+    oracle = spmv_sorted_oracle(mat, x).values
+    same = _same(product.values, oracle)
+    return VerificationReport(checks=[
+        CheckResult("kernel-matches-oracle", same,
+                    "kernel output equals sorted-entry oracle exactly" if same
+                    else _first_diff(product.values, oracle)),
+        CheckResult("residual-within-tolerance", check_pass(rsq),
+                    f"residualSq == {rsq!r}")])
 
 
-def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
-                       explicit_col_sizes=None, *,
-                       mode: str = "parallel") -> VerificationReport:
-    """Check one distributed run of a fixture at the given rank count.
+def _distributed(fixture: Fixture, product, size: int, explicit_row_sizes,
+                 explicit_col_sizes, mode: str) -> VerificationReport:
+    """Check one distributed run at the given rank count against the
+    sequential product.
 
     Checks, all read from the run's own report: layout sizes summing to
     the global extents (and, for a default layout, blocks that step down by
     at most one from rank 0), each rank's result slice equalling its rows
-    of one sequential product, the concatenation equalling that product,
-    the residual within tolerance and bit-equal to that product's per-rank
-    residuals summed in rank order, and the gather path matching the
-    prediction from the column sizes. A layout the run refuses fails
-    layout-sums; any other exception from the run, the sequential product
-    or its residuals fails distributed-run.
+    of the product, the concatenation equalling the product, the residual
+    within tolerance and bit-equal to the product's per-rank residuals
+    summed in rank order, and the gather path matching the prediction from
+    the column sizes. A layout the run refuses fails layout-sums; any other
+    exception from the run, the product or its residuals fails
+    distributed-run.
     """
-    if invalid := _invalid_input(fixture):
-        return VerificationReport(checks=[invalid])
     try:
         report = run_distributed(fixture, size, explicit_row_sizes,
                                  explicit_col_sizes, mode=mode)
-        seq_y = spmv_seq(fixture.matrix(), fixture.x_vector()).values
+        if isinstance(product, Exception):
+            raise product
+        seq_y = product.values
         # the run's allreduce, redone over the sequential product
         partials_sum = 0.0
         for rank in range(report.size):
@@ -157,7 +170,6 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
                         "not evaluated: distributed run failed"),
             CheckResult("distributed-run", False,
                         f"{type(exc).__name__}: {exc}")])
-    checks: list[CheckResult] = []
     row_sum = sum(report.row_layout.local_sizes)
     col_sum = sum(report.col_layout.local_sizes)
     sums_ok = row_sum == fixture.M and col_sum == fixture.N
@@ -167,10 +179,10 @@ def verify_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,
         for name, layout in (("row", report.row_layout),
                              ("column", report.col_layout))
         if not (layout.explicit or _steps_down(layout.local_sizes))]
-    checks.append(CheckResult(
+    checks = [CheckResult(
         "layout-sums", sums_ok and not misshapen,
         f"row blocks sum to {row_sum} of {fixture.M}, column blocks to "
-        f"{col_sum} of {fixture.N}" + "".join(misshapen)))
+        f"{col_sum} of {fixture.N}" + "".join(misshapen))]
     per_rank_ok = True
     per_rank_detail = "every rank slice equals its local sequential multiply"
     for rank, y in enumerate(report.per_rank_y):

@@ -152,6 +152,14 @@ def test_verify_json(tmp_path, capsys):
     assert all(s["overall"] for s in payload)
 
 
+def test_verify_repeated_rank_count_prints_each_section(tmp_path, capsys):
+    path = write_ref(tmp_path)
+    assert main(["verify", "--fixture", str(path), "--ranks-list", "2,2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[distributed size=2]") == 2
+    assert out.count("overall: PASS") == 3
+
+
 def test_verify_rejects_bad_ranks_list(tmp_path, capsys):
     path = write_ref(tmp_path)
     for ranks in ("0,2", f"2,{MAX_RANKS + 1}"):

@@ -22,7 +22,7 @@ from spmvsim import (
     run_distributed,
     spmv_seq,
     spmv_sorted_oracle,
-    verify_distributed,
+    verify_fixture,
 )
 from spmvsim.collectives import exclusive_prefix_sums
 
@@ -247,8 +247,11 @@ def test_distributed_run_equals_sequential(case):
     for mode in ("parallel", "serial"):
         run = run_distributed(fx, size, row_sizes, col_sizes, mode=mode)
         assert np.concatenate(run.per_rank_y).tobytes() == seq.tobytes()
-        assert verify_distributed(fx, size, row_sizes, col_sizes,
-                                  mode=mode).overall
+        # the distributed section only: the kernel sums unsorted columns in
+        # storage order, so its bits may differ from the sorted oracle's
+        _, (_, dist) = verify_fixture(fx, [size], row_sizes, col_sizes,
+                                      mode=mode)
+        assert dist.overall, dist.as_text()
         runs.append(run)
     parallel, serial = runs
     assert parallel.residual_sq.hex() == serial.residual_sq.hex()
@@ -281,4 +284,4 @@ def test_rank_sweeps_equal_row_loop_on_order_sensitive_rows(size, mode):
     y = np.concatenate(run.per_rank_y).tobytes()
     assert y == spmv_seq(fx.matrix(), fx.x_vector()).values.tobytes()
     assert y == spmv_by_row_loop(fx.matrix(), fx.x_vector()).tobytes()
-    assert verify_distributed(fx, size, mode=mode).overall
+    assert all(r.overall for _, r in verify_fixture(fx, [size], mode=mode))

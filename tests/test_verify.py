@@ -5,15 +5,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spmvsim.collectives
 import spmvsim.distributed
 import spmvsim.layout
 import spmvsim.verify
+from conftest import NON_INTEGER, csr_matrices
 from spmvsim import (
     MAX_RANKS,
     RESIDUAL_TOLERANCE,
     CollectiveMismatch,
+    DenseVector,
     Fixture,
     GenParams,
     RankContext,
@@ -28,15 +32,21 @@ from spmvsim import (
     spmv_seq,
     spmv_sorted_oracle,
     validate_csr,
-    verify_distributed,
+    verify_fixture,
     verify_sequential,
     write_fixture,
 )
+from spmvsim.cli import main
 from spmvsim.collectives import exclusive_prefix_sums
 
 
 def check_names(report):
     return [c.name for c in report.checks]
+
+
+def distributed_section(fx, size, *args, **kwargs):
+    """The report of verify_fixture's one distributed section at size."""
+    return verify_fixture(fx, [size], *args, **kwargs)[1][1]
 
 
 def test_sequential_reference_passes(ref):
@@ -86,11 +96,12 @@ def invalid_fixtures():
 
 
 def test_sequential_invalid_input_is_a_failed_check():
-    # both verifiers gate on validate_fixture before anything else runs
+    # the verifier gates on validate_fixture before anything else runs
     for fx, named in invalid_fixtures():
         reports = [verify_sequential(fx)]
-        reports += [verify_distributed(fx, size, mode=mode)
-                    for size in (1, 2) for mode in ("parallel", "serial")]
+        reports += [report for mode in ("parallel", "serial")
+                    for _, report in verify_fixture(fx, (1, 2), mode=mode)]
+        assert len(reports) == 7
         for report in reports:
             assert not report.overall
             assert check_names(report) == ["input-valid"]
@@ -132,8 +143,11 @@ def test_validate_csr_runs_once_per_checked_call(tmp_path, validate_csr_calls):
         "import_matrix_market": (
             1, lambda: import_matrix_market(tmp_path / "ref.mtx")),
         "verify_sequential": (1, lambda: verify_sequential(fx)),
-        "verify_distributed": (1, lambda: verify_distributed(fx, 2)),
+        "verify_fixture": (1, lambda: verify_fixture(fx, range(1, 9))),
         "run_distributed": (0, lambda: run_distributed(fx, 2)),
+        # the checked read, then the verifier
+        "spmvsim verify": (2, lambda: main(
+            ["verify", "--fixture", str(tmp_path / "ref.fx")])),
     }
     counts = {}
     for name, (_, call) in calls.items():
@@ -157,6 +171,23 @@ def test_sequential_kernel_mismatch_names_the_entry(ref, monkeypatch):
     assert check.detail == "first difference at index 3: 113.5 != 113.0"
 
 
+def test_raising_product_fails_every_section(ref, monkeypatch):
+    # the runs multiply their own blocks; only the shared product raises
+    def raises(mat, x):
+        raise RuntimeError("no product")
+
+    monkeypatch.setattr(spmvsim.verify, "spmv_seq", raises)
+    (_, seq), *dist = verify_fixture(ref, (1, 3))
+    assert [(c.name, c.passed, c.detail) for c in seq.checks] == [
+        ("kernel-matches-oracle", False, "RuntimeError: no product"),
+        ("residual-within-tolerance", False,
+         "not evaluated: the kernel or its residual raised")]
+    assert len(dist) == 2
+    for _, report in dist:
+        assert check_names(report) == ["layout-sums", "distributed-run"]
+        assert report.checks[1].detail == "RuntimeError: no product"
+
+
 def nan_product_fixture():
     """Finite entries whose products overflow to inf + -inf = nan."""
     return Fixture(M=1, N=2, row_ptr=[0, 2], col_idx=[0, 1],
@@ -165,9 +196,8 @@ def nan_product_fixture():
 
 def test_nan_result_fails_only_the_residual():
     # kernel and oracle agree on nan; only the residual may fail
-    reports = [verify_sequential(nan_product_fixture())]
-    reports += [verify_distributed(nan_product_fixture(), size)
-                for size in (1, 2)]
+    reports = [report for _, report in verify_fixture(nan_product_fixture(),
+                                                      (1, 2))]
     for report in reports:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["residual-within-tolerance"]
@@ -188,7 +218,7 @@ def test_sequential_trivial_instance():
 
 def test_distributed_reference_passes(ref):
     for size in (3, 5):
-        report = verify_distributed(ref, size)
+        report = distributed_section(ref, size)
         assert report.overall, report.as_text()
         assert check_names(report) == ["layout-sums",
                                        "per-rank-sub-multiply",
@@ -200,8 +230,8 @@ def test_distributed_reference_passes(ref):
 def test_distributed_explicit_layouts_pass(ref):
     # an explicit split need not have the default shape, and may grow
     for rows, cols in (([30, 2], [18, 18]), ([2, 30], [10, 26])):
-        report = verify_distributed(ref, 2, explicit_row_sizes=rows,
-                                    explicit_col_sizes=cols)
+        report = distributed_section(ref, 2, explicit_row_sizes=rows,
+                                     explicit_col_sizes=cols)
         assert report.overall, report.as_text()
 
 
@@ -209,7 +239,7 @@ def test_distributed_bad_layout_named(ref):
     for sizes, named in (([16, 15], "sum 31 != 32"),
                          ([32], "expected 2 block sizes, got 1"),
                          ([33, -1], "block sizes must be >= 0, got (33, -1)")):
-        report = verify_distributed(ref, 2, explicit_row_sizes=sizes)
+        report = distributed_section(ref, 2, explicit_row_sizes=sizes)
         assert not report.overall
         assert report.checks[0].name == "layout-sums"
         assert not report.checks[0].passed
@@ -226,7 +256,7 @@ def test_distributed_run_failure_is_a_failed_check(ref, monkeypatch):
         return build_layout(total, size, explicit_local_sizes)
 
     patch_bindings(monkeypatch, build_layout, refuse_oversized)
-    report = verify_distributed(ref, MAX_RANKS + 1)
+    report = distributed_section(ref, MAX_RANKS + 1)
     assert check_names(report) == ["layout-sums", "distributed-run"]
     assert report.checks[0].detail == "not evaluated: distributed run failed"
     assert f"1..{MAX_RANKS}" in report.checks[1].detail
@@ -235,7 +265,7 @@ def test_distributed_run_failure_is_a_failed_check(ref, monkeypatch):
         raise CollectiveMismatch("rank 1 called 'allgather' out of turn")
 
     monkeypatch.setattr(spmvsim.verify, "run_distributed", broken_run)
-    report = verify_distributed(ref, 2)
+    report = distributed_section(ref, 2)
     assert not report.overall
     assert report.checks[-1].name == "distributed-run"
     assert "out of turn" in report.checks[-1].detail
@@ -253,11 +283,14 @@ def test_distributed_reuses_the_run(ref, monkeypatch):
 
     for original in (build_layout, extract_local, spmv_seq):
         patch_bindings(monkeypatch, original, counted(original))
-    for size in (1, 3, 8):
+    for sizes in ([1], [3], [8], [1, 3, 8, 3]):
         calls.update(dict.fromkeys(calls, 0))
-        assert verify_distributed(ref, size).overall
-        assert calls == {"build_layout": 2, "extract_local": size,
-                         "spmv_seq": size + 1}
+        assert all(r.overall for _, r in verify_fixture(ref, sizes))
+        # one whole-matrix product shared by every section, and one block
+        # product per rank of each run
+        assert calls == {"build_layout": 2 * len(sizes),
+                         "extract_local": sum(sizes),
+                         "spmv_seq": 1 + sum(sizes)}
 
 
 def test_per_rank_check_catches_a_wrong_block(ref, monkeypatch):
@@ -269,7 +302,7 @@ def test_per_rank_check_catches_a_wrong_block(ref, monkeypatch):
         return dataclasses.replace(local, values=values)
 
     patch_bindings(monkeypatch, extract_local, last_value_plus_one)
-    by_name = {c.name: c for c in verify_distributed(ref, 3).checks}
+    by_name = {c.name: c for c in distributed_section(ref, 3).checks}
     assert not by_name["per-rank-sub-multiply"].passed
     assert by_name["per-rank-sub-multiply"].detail.startswith("rank 0: ")
     assert not by_name["concatenation-matches-sequential"].passed
@@ -284,7 +317,7 @@ def test_per_rank_check_catches_a_misplaced_row(ref, monkeypatch):
         real, per_rank_y=[np.concatenate([y0, y1[:1]]), y1[1:]])
     monkeypatch.setattr(spmvsim.verify, "run_distributed",
                         lambda *args, **kwargs: shifted)
-    by_name = {c.name: c for c in verify_distributed(ref, 2).checks}
+    by_name = {c.name: c for c in distributed_section(ref, 2).checks}
     assert by_name["concatenation-matches-sequential"].passed
     assert not by_name["per-rank-sub-multiply"].passed
     assert by_name["per-rank-sub-multiply"].detail == "rank 0: length 17 != 16"
@@ -292,7 +325,7 @@ def test_per_rank_check_catches_a_misplaced_row(ref, monkeypatch):
 
 def test_distributed_detects_corrupt_value(ref):
     ref.values[0] += 1.0
-    report = verify_distributed(ref, 4)
+    report = distributed_section(ref, 4)
     by_name = {c.name: c for c in report.checks}
     assert not report.overall
     assert not by_name["residual-within-tolerance"].passed
@@ -318,22 +351,22 @@ def test_report_records_rendering(ref):
 def test_distributed_verify_on_generated():
     fx = generate(GenParams(M=40, N=28, target_nnz=150, seed=77))
     for size in (1, 4, 6):
-        report = verify_distributed(fx, size)
+        report = distributed_section(fx, size)
         assert report.overall, report.as_text()
 
 
 def test_gather_path_prediction_check(ref):
-    report = verify_distributed(ref, 5)
+    report = distributed_section(ref, 5)
     by_name = {c.name: c for c in report.checks}
     assert "allgatherv" in by_name["gather-path-prediction"].detail
-    report = verify_distributed(ref, 4)
+    report = distributed_section(ref, 4)
     by_name = {c.name: c for c in report.checks}
     assert "allgather," in by_name["gather-path-prediction"].detail
 
 
 def test_verify_uses_requested_engine_mode(ref):
-    a = verify_distributed(ref, 7, mode="serial")
-    b = verify_distributed(ref, 7, mode="parallel")
+    a = distributed_section(ref, 7, mode="serial")
+    b = distributed_section(ref, 7, mode="parallel")
     assert a.overall and b.overall
     assert a.as_records() == b.as_records()
 
@@ -483,16 +516,16 @@ FAULTS = {
 def test_near_miss_fixture_passes_unfaulted():
     fx = near_miss_fixture()
     assert verify_sequential(fx).overall
-    for size in FAULT_RANKS:
-        report = verify_distributed(fx, size)
+    for _, report in verify_fixture(fx, FAULT_RANKS):
         assert report.overall, report.as_text()
+    for size in FAULT_RANKS:
         assert 0.0 < run_distributed(fx, size).residual_sq <= RESIDUAL_TOLERANCE
 
 
 def test_residual_fault_names_both_sums(ref, monkeypatch):
     ref.z[-1] += 0.5
     allreduce_drops_last_partial(monkeypatch, ref)
-    by_name = {c.name: c for c in verify_distributed(ref, 3).checks}
+    by_name = {c.name: c for c in distributed_section(ref, 3).checks}
     assert by_name["residual-within-tolerance"].detail == (
         "residualSq == 0.0, but the sequential product's rank partials sum "
         "to 0.25")
@@ -502,7 +535,7 @@ def test_residual_fault_names_both_sums(ref, monkeypatch):
 
 def test_layout_shape_fault_names_the_blocks(ref, monkeypatch):
     remainder_to_high_ranks(monkeypatch, ref)
-    check = verify_distributed(ref, 5).checks[0]
+    check = distributed_section(ref, 5).checks[0]
     assert check.name == "layout-sums" and not check.passed
     assert check.detail == (
         "row blocks sum to 32 of 32, column blocks to 36 of 36; default row "
@@ -517,8 +550,36 @@ def test_layout_shape_fault_names_the_blocks(ref, monkeypatch):
 def test_seeded_fault_fails_its_check(monkeypatch, fault, size, failing):
     fx = near_miss_fixture()
     fault(monkeypatch, fx)
-    sections = {SEQ: verify_sequential(fx), DIST: verify_distributed(fx, size)}
+    sections = dict(zip((SEQ, DIST), dict(verify_fixture(fx, [size])).values()))
     assert not sections[DIST].overall, sections[DIST].as_text()
     for section, name in failing:
         by_name = {c.name: c for c in sections[section].checks}
         assert not by_name[name].passed, sections[section].as_text()
+
+
+@st.composite
+def verify_cases(draw):
+    """A small fixture with non-integer values and x, which may store a cell
+    twice (and so fail input-valid) and whose z may be off in one entry,
+    with a list of rank counts in 1..8 that may repeat one."""
+    mat = draw(csr_matrices(unique_columns=draw(st.booleans())))
+    x = draw(st.lists(NON_INTEGER, min_size=mat.N, max_size=mat.N))
+    z = spmv_sorted_oracle(mat, DenseVector.sequential(x)).values
+    if mat.m and draw(st.booleans()):
+        z[draw(st.integers(0, mat.m - 1))] += 0.5
+    fx = Fixture(M=mat.m, N=mat.N, row_ptr=mat.row_ptr, col_idx=mat.col_idx,
+                 values=mat.values, x=x, z=z)
+    return fx, draw(st.lists(st.integers(1, MAX_RANKS), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=verify_cases())
+@example(case=(near_miss_fixture(), [2, 5, 2]))
+def test_one_pass_equals_separate_passes(case):
+    fx, sizes = case
+    together = verify_fixture(fx, sizes)
+    alone = [("sequential", verify_sequential(fx))]
+    alone += [verify_fixture(fx, [k])[1] for k in sizes]
+    assert [name for name, _ in together] == [name for name, _ in alone]
+    assert ([r.as_records() for _, r in together]
+            == [r.as_records() for _, r in alone])
