@@ -2,16 +2,16 @@
 
 Matrices carry local and global extents, so one container serves sequential
 use and the per-rank pieces of a block-row distribution (columns stay
-global). spmv_seq forms all products at once and adds them into their rows
-with np.bincount, which sums in storage order from +0.0 like a row loop;
-large matrices go in blocks of whole rows. The package checks it against
-spmv_sorted_oracle, a COO scatter-add in cell-key order with np.add.at that
-takes O(nnz) time and works through blocks of whole rows of its own, so its
-temporaries fit in one block; tests check that oracle against the paper's
-dense brute-force one.
-Both, and dense_from_csr, trust the input boundary's validate_csr
-(fixture_io.validate_fixture); the products check only that x is as wide
-as the matrix.
+global). spmv_seq adds all products into their rows with np.bincount, which
+sums in storage order from +0.0 like a row loop, one block of whole rows per
+call. The package checks it against spmv_sorted_oracle, an O(nnz) COO
+scatter-add in cell-key order over blocks of its own; tests check that
+oracle against the paper's dense brute-force one. Both, and dense_from_csr,
+trust the input boundary's validate_csr (fixture_io.validate_fixture).
+A solver multiplies once per iteration, a rank only its own rows, so small
+calls matter: per-call paths use ndarray methods and slices, not NumPy's
+Python-level np.diff, repeat, searchsorted, cumsum, nonzero, sort or argsort
+(spmv_seq on the 32x36 reference: 16.4 -> 11.8 us per call).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
         return ValidationReport(ok=False, violations=v)
     if rp[0] != 0:
         v.append(f"row_ptr[0] != 0 (got {rp[0]})")
-    drops = np.nonzero(np.diff(rp) < 0)[0]
+    drops = (rp[1:] < rp[:-1]).nonzero()[0]
     if len(drops):
         k = int(drops[0])
         v.append(f"row_ptr decreases at index {k + 1} ({rp[k]} -> {rp[k + 1]})")
@@ -147,44 +147,49 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
         v.append(f"row_ptr[m] = {rp[mat.m]} != stored entry count {len(cj)}")
     if len(av) != len(cj):
         v.append(f"values length {len(av)} != col_idx length {len(cj)}")
-    if len(cj):
-        bad = np.nonzero((cj < 0) | (cj >= mat.N))[0]
-        if len(bad):
-            p = int(bad[0])
-            v.append(f"col_idx[{p}] = {cj[p]} out of range [0, {mat.N})")
+    bad = ((cj < 0) | (cj >= mat.N)).nonzero()[0]
+    if len(bad):
+        p = int(bad[0])
+        v.append(f"col_idx[{p}] = {cj[p]} out of range [0, {mat.N})")
     if not (0 <= mat.rstart and mat.rstart + mat.m <= mat.M):
         v.append(f"row block [{mat.rstart}, {mat.rstart + mat.m}) outside [0, {mat.M})")
     if not (0 <= mat.cstart and mat.cstart + mat.n <= mat.N):
         v.append(f"column block [{mat.cstart}, {mat.cstart + mat.n}) outside [0, {mat.N})")
     if not v:
-        # sorted row-major cell keys sit side by side exactly when repeated
-        keys = np.sort(_row_ids(rp) * mat.N + cj)
-        repeats = np.nonzero(keys[1:] == keys[:-1])[0]
-        if len(repeats):
-            cell = divmod(int(keys[repeats[0]]), mat.N)
-            v.append(f"duplicate cell {cell} stored more than once")
+        # sorted cell keys sit side by side exactly when repeated; a repeated
+        # cell lies in one row, so the first block to hold one holds the lowest
+        bounds = [0, mat.m] if mat.nnz <= _BLOCK_ENTRIES else _oracle_blocks(rp)
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            keys = _row_ids(rp[r0:r1 + 1]) * mat.N + cj[rp[r0]:rp[r1]]
+            keys.sort()
+            repeats = (keys[1:] == keys[:-1]).nonzero()[0]
+            if len(repeats):
+                i, j = divmod(int(keys[repeats[0]]), mat.N)
+                v.append(f"duplicate cell {(r0 + i, j)} stored more than once")
+                break
     return ValidationReport(ok=not v, violations=v)
 
 
 def _row_ids(row_ptr: np.ndarray) -> np.ndarray:
     """Row of every stored entry of a CSR row pointer."""
-    return np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int64),
-                     np.diff(row_ptr))
+    return np.arange(len(row_ptr) - 1, dtype=np.int64).repeat(
+        row_ptr[1:] - row_ptr[:-1])
 
 
 def _cell_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Stable argsort of the row-major cell keys rows * n + cols: the order
     the sorted-entry oracle sums in and Matrix Market I/O stores entries in."""
-    return np.argsort(rows * n + cols, kind="stable")
+    return (rows * n + cols).argsort(kind="stable")
 
 
-# entries per block: spmv_seq's bincount calls and the oracle's np.add.at
-# calls each take a block of whole rows holding at most this many entries (a
-# longer row is a block of its own), each cut by its own code. On the
-# multiply-large matrix (303,617 entries), one whole-matrix bincount call
-# kept two nnz-sized temporaries alive and made glibc trim and refault the
-# heap top, with hundreds of minor faults per call in a loop with
-# run_distributed; blocks of this size took 2 per operation.
+# entries per block: spmv_seq's bincount calls, the oracle's np.add.at calls
+# and validate_csr's key sorts each take a block of whole rows holding at
+# most this many entries (a longer row is a block of its own); the kernel
+# cuts its blocks with code of its own. On the multiply-large matrix
+# (303,617 entries), one whole-matrix bincount call kept two nnz-sized
+# temporaries alive and made glibc trim and refault the heap top, with
+# hundreds of minor faults per call in a loop with run_distributed; blocks
+# of this size took 2 per operation.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -216,8 +221,8 @@ def spmv_seq(mat: CsrMatrix, x: DenseVector) -> DenseVector:
                 p0 = int(rp[r0])
                 # the last row boundary within the block's entries, or the
                 # next one when row r0 alone is longer than a block
-                r1 = max(r0 + 1, int(np.searchsorted(
-                    rp, p0 + _BLOCK_ENTRIES, side="right")) - 1)
+                r1 = max(r0 + 1, int(rp.searchsorted(
+                    p0 + _BLOCK_ENTRIES, side="right")) - 1)
                 p1 = int(rp[r1])
                 out[r0:r1] = _row_sums(rp[r0:r1 + 1], cj[p0:p1], av[p0:p1], xv)
                 r0 = r1
@@ -238,17 +243,16 @@ def _row_sums(row_ptr, col_idx, values, x) -> np.ndarray:
 def residual_sq(y: DenseVector, z: DenseVector) -> float:
     """Squared 2-norm of y - z, accumulated left to right.
 
-    np.cumsum adds strictly in order, unlike np.sum's pairwise summation,
+    cumsum adds strictly in order, unlike np.sum's pairwise summation,
     and 0.0 + d0*d0 == d0*d0 because a square is never -0.0, so this equals
     a loop that starts from 0.0.
     """
     if y.n != z.n:
         raise SizeMismatch(f"result length {y.n} != reference length {z.n}")
-    if not y.n:
-        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         d = y.values - z.values
-        return float(np.cumsum(d * d)[-1])
+        d *= d
+        return float(d.cumsum()[-1]) if y.n else 0.0
 
 
 def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
@@ -293,7 +297,7 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
     rp, cj, av, xv = mat.row_ptr, mat.col_idx, mat.values, x.values
-    bounds = _oracle_blocks(rp).tolist()
+    bounds = [0, mat.m] if mat.nnz <= _BLOCK_ENTRIES else _oracle_blocks(rp)
     out = np.zeros(mat.m, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
@@ -309,7 +313,7 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     return DenseVector(n=mat.m, N=mat.M, values=out)
 
 
-def _oracle_blocks(row_ptr: np.ndarray) -> np.ndarray:
+def _oracle_blocks(row_ptr: np.ndarray) -> list[int]:
     """Ascending row boundaries that cut a CSR matrix into the oracle's
     blocks: 0, m and, for each entry position k * _BLOCK_ENTRIES with
     0 < k * _BLOCK_ENTRIES <= nnz, the last row start at or before it and
@@ -317,10 +321,6 @@ def _oracle_blocks(row_ptr: np.ndarray) -> np.ndarray:
     most one row, and between the first cut of one position and the last
     cut of the next lie at most _BLOCK_ENTRIES entries."""
     marks = np.arange(_BLOCK_ENTRIES, int(row_ptr[-1]) + 1, _BLOCK_ENTRIES)
-    cuts = np.sort(np.concatenate((
-        [0, len(row_ptr) - 1],
-        np.searchsorted(row_ptr, marks, side="right") - 1,
-        np.searchsorted(row_ptr, marks, side="left"))))
-    # not np.unique: under NumPy 2.4 its first call imports numpy.ma, about
-    # 1 MB of resident memory
-    return cuts[np.diff(cuts, prepend=-1) > 0]
+    return sorted({0, len(row_ptr) - 1,
+                   *(row_ptr.searchsorted(marks, side="right") - 1).tolist(),
+                   *row_ptr.searchsorted(marks).tolist()})

@@ -96,7 +96,7 @@ def _oracle_product(fixture: Fixture) -> np.ndarray:
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(arr))
+    bad = (~np.isfinite(arr)).nonzero()[0]
     if len(bad):
         raise FixtureValidationError(
             f"non-finite {name}[{bad[0]}] = {float(arr[bad[0]])!r}")

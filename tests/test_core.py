@@ -1,6 +1,7 @@
 """CSR validation, the kernel, residual, and the two oracles."""
 
 import hashlib
+import itertools
 import tracemalloc
 import warnings
 
@@ -21,6 +22,7 @@ from spmvsim import (
     extract_local,
     generate,
     residual_sq,
+    run_distributed,
     spmv_dense_oracle,
     spmv_seq,
     spmv_sorted_oracle,
@@ -169,6 +171,13 @@ def test_validate_flags_duplicates_like_a_set(mat):
     assert report.ok == (not repeated)
     assert report.violations == ([f"duplicate cell {min(repeated)} stored "
                                   f"more than once"] if repeated else [])
+
+
+def test_validate_flags_duplicates_like_a_set_across_blocks(monkeypatch):
+    # blocks of at most 3 entries: the lowest repeated cell can lie in any
+    # block, and every longer row is a block of its own
+    monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", 3)
+    test_validate_flags_duplicates_like_a_set()
 
 
 @settings(max_examples=300, deadline=None)
@@ -465,6 +474,66 @@ def test_oracle_blocks_hold_whole_rows_within_the_bound(monkeypatch, block):
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
             assert r1 - r0 == 1 or row_ptr[r1] - row_ptr[r0] <= block, (
                 lengths, bounds)
+
+
+def row_ids_by_loop(row_ptr):
+    """Row i once for each of its entries, one append at a time: the
+    reference core._row_ids must equal."""
+    rows = []
+    for i in range(len(row_ptr) - 1):
+        for _ in range(row_ptr[i], row_ptr[i + 1]):
+            rows.append(i)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.integers(0, 5), max_size=30),
+       base=st.integers(0, 40))
+@example(lengths=[], base=0)  # m = 0
+@example(lengths=[0, 0, 0], base=0)
+@example(lengths=[2, spmvsim.core._BLOCK_ENTRIES + 1, 0, 1], base=3)
+def test_row_ids_equal_loop(lengths, base):
+    # the kernel, the oracle and validate_csr all take their row ids from
+    # this helper, so a kernel-against-oracle check cannot catch its faults;
+    # a nonzero base is a block's slice of a longer row pointer
+    row_ptr = np.array(list(itertools.accumulate(lengths, initial=base)),
+                       dtype=np.int64)
+    rows = spmvsim.core._row_ids(row_ptr)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == row_ids_by_loop(row_ptr.tolist())
+
+
+# NumPy's Python-level wrappers of ndarray methods; see the core docstring
+NUMPY_WRAPPERS = ("diff", "repeat", "searchsorted", "cumsum", "nonzero",
+                  "sort", "argsort")
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_per_call_paths_use_no_numpy_wrappers(monkeypatch, ref, block):
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"np.{name} called")
+        return wrapper
+
+    if block is not None:
+        # every path works through many blocks, and some rows are longer
+        # than a block
+        monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", block)
+    for name in NUMPY_WRAPPERS:
+        monkeypatch.setattr(np, name, refuse(name))
+    mat, x, z = ref.matrix(), ref.x_vector(), ref.z_vector()
+    assert validate_csr(mat).ok
+    y = spmv_seq(mat, x)
+    assert y.values.tolist() == REF_Z
+    assert spmv_sorted_oracle(mat, x).values.tolist() == REF_Z
+    assert residual_sq(y, z) == 0.0
+    # 36 columns: two ranks gather with allgather, five with allgatherv
+    for size, mode in ((2, "parallel"), (5, "serial")):
+        assert run_distributed(ref, size, mode=mode).residual_sq == 0.0
+    # rows 3 and 20 each store a cell twice; the lowest is named
+    mat.col_idx[[5, 26]] = mat.col_idx[[2, 23]]
+    assert validate_csr(mat).violations == [
+        "duplicate cell (3, 1) stored more than once"]
 
 
 def test_sorted_oracle_temporaries_fit_in_one_block():

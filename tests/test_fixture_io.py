@@ -1,6 +1,7 @@
 """Canonical fixture files and Matrix Market interop."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -387,6 +388,21 @@ def test_read_fixture_checks_extents_in_validate_fixture(tmp_path, ref, field,
     write_fixture(ref, path)
     with pytest.raises(FixtureValidationError, match=named):
         read_fixture(path)
+
+
+def test_validate_fixture_sorts_one_block_of_keys_at_a_time():
+    # NumPy reports its buffers to tracemalloc. On the 303,617-entry matrix
+    # one whole-matrix int64 array takes 2.4 MB; one block's duplicate-cell
+    # keys take 2 * 256 KiB and the finiteness masks 2 bytes per entry
+    fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
+    validate_fixture(reference_fixture())  # lazy imports stay out
+    tracemalloc.start()
+    try:
+        validate_fixture(fx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- parser fuzzing ---------------------------------------------------------

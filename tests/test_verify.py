@@ -216,6 +216,23 @@ def test_sequential_trivial_instance():
     assert verify_sequential(fx).overall
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "spmv_seq sums a row in storage order and the oracle by ascending "
+    "column, while the readers accept unsorted columns"))
+def test_verify_agrees_with_run_on_unsorted_columns(tmp_path):
+    # 0.1 + 0.2 + 0.3 rounds apart from 0.2 + 0.3 + 0.1. Today run passes
+    # and verify fails kernel-matches-oracle. Making the readers refuse
+    # unsorted columns, or the verifier accept them, ends the disagreement
+    # and this mark must then go.
+    fx = Fixture(M=1, N=3, row_ptr=[0, 3], col_idx=[2, 0, 1],
+                 values=[0.1, 0.2, 0.3], x=[1.0, 1.0, 1.0], z=[0.0])
+    fx.z = spmv_sorted_oracle(fx.matrix(), fx.x_vector()).values
+    path = str(tmp_path / "unsorted.fx")
+    write_fixture(fx, path)
+    assert main(["verify", "--fixture", path]) == main(
+        ["run", "--fixture", path])
+
+
 def test_distributed_reference_passes(ref):
     for size in (3, 5):
         report = distributed_section(ref, size)
