@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "MAX_RANKS",
-    "exclusive_prefix_sums",
     "CollectiveError",
     "CollectiveMismatch",
     "UnequalBlockLength",

@@ -6,8 +6,9 @@ global). spmv_seq adds all products into their rows with np.bincount, which
 sums in storage order from +0.0 like a row loop, one block of whole rows per
 call. The package checks it against spmv_sorted_oracle, an O(nnz) COO
 scatter-add in cell-key order over blocks of its own; tests check that
-oracle against the paper's dense brute-force one. Both, and dense_from_csr,
-trust the input boundary's validate_csr (fixture_io.validate_fixture).
+oracle against the paper's dense brute-force one, spmv_dense_oracle over the
+plain (m, N) float64 array that dense_from_csr returns. All of them trust
+the input boundary's validate_csr (fixture_io.validate_fixture).
 A solver multiplies once per iteration, a rank only its own rows, so small
 calls matter: per-call paths use ndarray methods and slices, not NumPy's
 Python-level np.diff, repeat, searchsorted, cumsum, nonzero, sort or argsort
@@ -23,7 +24,6 @@ import numpy as np
 __all__ = [
     "CsrMatrix",
     "DenseVector",
-    "DenseMatrix",
     "ValidationReport",
     "SizeMismatch",
     "validate_csr",
@@ -99,21 +99,6 @@ class DenseVector:
 
 
 @dataclass
-class DenseMatrix:
-    """Dense m x n matrix used only by the brute-force oracle."""
-
-    m: int
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.m, self.n):
-            raise SizeMismatch(
-                f"dense storage shape {self.values.shape} != ({self.m}, {self.n})")
-
-
-@dataclass
 class ValidationReport:
     """Outcome of validate_csr: ok flag plus human-readable violations."""
 
@@ -158,7 +143,7 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     if not v:
         # sorted cell keys sit side by side exactly when repeated; a repeated
         # cell lies in one row, so the first block to hold one holds the lowest
-        bounds = [0, mat.m] if mat.nnz <= _BLOCK_ENTRIES else _oracle_blocks(rp)
+        bounds = _oracle_blocks(rp)
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
             keys = _row_ids(rp[r0:r1 + 1]) * mat.N + cj[rp[r0]:rp[r1]]
             keys.sort()
@@ -255,27 +240,27 @@ def residual_sq(y: DenseVector, z: DenseVector) -> float:
         return float(d.cumsum()[-1]) if y.n else 0.0
 
 
-def dense_from_csr(mat: CsrMatrix) -> DenseMatrix:
-    """Expand a CSR matrix into dense m x N storage. mat must have passed
-    validate_csr: of a cell stored twice, dense storage keeps one value."""
+def dense_from_csr(mat: CsrMatrix) -> np.ndarray:
+    """Expand a CSR matrix into a dense (m, N) float64 array. mat must have
+    passed validate_csr: of a cell stored twice, dense storage keeps one value."""
     dense = np.zeros((mat.m, mat.N), dtype=np.float64)
     dense[_row_ids(mat.row_ptr), mat.col_idx] = mat.values
-    return DenseMatrix(m=mat.m, n=mat.N, values=dense)
+    return dense
 
 
-def spmv_dense_oracle(dense: DenseMatrix, x: DenseVector) -> DenseVector:
+def spmv_dense_oracle(dense: np.ndarray, x: DenseVector) -> DenseVector:
     """Schoolbook dense product, the independent check for spmv_seq."""
-    if dense.n != x.n:
-        raise SizeMismatch(f"matrix width {dense.n} != vector length {x.n}")
-    rows = dense.values.tolist()
+    m, n = dense.shape
+    if n != x.n:
+        raise SizeMismatch(f"matrix width {n} != vector length {x.n}")
     xs = x.values.tolist()
-    out = np.zeros(dense.m, dtype=np.float64)
-    for i, row in enumerate(rows):
+    out = np.zeros(m, dtype=np.float64)
+    for i, row in enumerate(dense.tolist()):
         acc = 0.0
         for a, xv in zip(row, xs):
             acc += a * xv
         out[i] = acc
-    return DenseVector(n=dense.m, N=dense.m, values=out)
+    return DenseVector(n=m, N=m, values=out)
 
 
 def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
@@ -297,7 +282,7 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
     rp, cj, av, xv = mat.row_ptr, mat.col_idx, mat.values, x.values
-    bounds = [0, mat.m] if mat.nnz <= _BLOCK_ENTRIES else _oracle_blocks(rp)
+    bounds = _oracle_blocks(rp)
     out = np.zeros(mat.m, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
@@ -316,11 +301,13 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
 def _oracle_blocks(row_ptr: np.ndarray) -> list[int]:
     """Ascending row boundaries that cut a CSR matrix into the oracle's
     blocks: 0, m and, for each entry position k * _BLOCK_ENTRIES with
-    0 < k * _BLOCK_ENTRIES <= nnz, the last row start at or before it and
+    0 < k * _BLOCK_ENTRIES < nnz, the last row start at or before it and
     the first at or after it. Between the two cuts of one position lies at
     most one row, and between the first cut of one position and the last
-    cut of the next lie at most _BLOCK_ENTRIES entries."""
-    marks = np.arange(_BLOCK_ENTRIES, int(row_ptr[-1]) + 1, _BLOCK_ENTRIES)
+    cut of the next lie at most _BLOCK_ENTRIES entries (0 and nnz count as
+    positions cut at rows 0 and m). With nnz <= _BLOCK_ENTRIES that leaves
+    [0, m], or [0] when m = 0."""
+    marks = np.arange(_BLOCK_ENTRIES, int(row_ptr[-1]), _BLOCK_ENTRIES)
     return sorted({0, len(row_ptr) - 1,
                    *(row_ptr.searchsorted(marks, side="right") - 1).tolist(),
                    *row_ptr.searchsorted(marks).tolist()})

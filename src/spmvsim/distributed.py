@@ -55,24 +55,16 @@ def check_pass(residual_sq_value: float) -> bool:
 def gather_x(ctx: RankContext, local_x, col_layout: Layout) -> np.ndarray:
     """Assemble the global input vector from per-rank blocks.
 
-    Chooses allgather when all blocks are provably equal (the default split
-    with size dividing the extent, or an explicit split whose gathered
-    lengths agree) and allgatherv otherwise.
+    Only the default split with size dividing the extent has provably equal
+    blocks; any other split first gathers the block lengths. allgatherv
+    runs when those lengths differ, allgather otherwise.
     """
     local_x = np.asarray(local_x, dtype=np.float64)
-    n = len(local_x)
-    if col_layout.explicit:
-        # user-chosen split: nothing guarantees equal blocks, so ask
-        counts = ctx.allgather(np.array([n], dtype=np.int64))
-        if len(set(counts.tolist())) == 1:
-            return ctx.allgather(local_x)
-    else:
-        # default split: blocks are equal exactly when size divides N
-        if col_layout.total % ctx.size == 0:
-            return ctx.allgather(local_x)
-        counts = ctx.allgather(np.array([n], dtype=np.int64))
-    counts = counts.tolist()
-    return ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
+    if col_layout.explicit or col_layout.total % ctx.size:
+        counts = ctx.allgather(np.array([len(local_x)], dtype=np.int64)).tolist()
+        if len(set(counts)) > 1:
+            return ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
+    return ctx.allgather(local_x)
 
 
 def run_distributed(fixture: Fixture, size: int, explicit_row_sizes=None,

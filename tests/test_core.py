@@ -185,7 +185,7 @@ def test_validate_flags_duplicates_like_a_set_across_blocks(monkeypatch):
 @example(mat=CsrMatrix.sequential([0, 0, 2, 2], [3, 1], [0.5, -2.25], n=4))
 @example(mat=CsrMatrix.sequential([0], [], [], n=3))
 def test_dense_from_csr_equals_entry_loop(mat):
-    dense = dense_from_csr(mat).values
+    dense = dense_from_csr(mat)
     reference = dense_by_entry_loop(mat)
     assert dense.shape == reference.shape
     assert dense.tobytes() == reference.tobytes()
@@ -385,12 +385,12 @@ def test_residual_rejects_length_mismatch():
 
 def test_dense_from_csr_layout():
     dense = dense_from_csr(small_matrix())
-    assert dense.values.shape == (3, 4)
-    assert dense.values[0, 0] == 2.0
-    assert dense.values[0, 3] == 1.0
-    assert dense.values[1].tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert dense.values[2, 2] == 5.0
-    assert dense.values[2, 1] == 3.0
+    assert dense.shape == (3, 4)
+    assert dense[0, 0] == 2.0
+    assert dense[0, 3] == 1.0
+    assert dense[1].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert dense[2, 2] == 5.0
+    assert dense[2, 1] == 3.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -474,6 +474,23 @@ def test_oracle_blocks_hold_whole_rows_within_the_bound(monkeypatch, block):
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
             assert r1 - r0 == 1 or row_ptr[r1] - row_ptr[r0] <= block, (
                 lengths, bounds)
+
+
+def test_oracle_blocks_are_one_block_up_to_the_bound():
+    # validate_csr and the oracle cut every matrix with these bounds, so at
+    # the real block size a matrix of at most one block's entries is one
+    # block, trailing empty rows and nnz = 0 included
+    block = spmvsim.core._BLOCK_ENTRIES
+    assert spmvsim.core._oracle_blocks(np.array([0], dtype=np.int64)) == [0]
+    for lengths in ([0], [0, 0, 0], [1], [3, 0, 2], [block], [block, 0, 0],
+                    [0, block - 1, 1, 0], [block // 2] * 2 + [0]):
+        row_ptr = np.array(list(itertools.accumulate(lengths, initial=0)),
+                           dtype=np.int64)
+        assert spmvsim.core._oracle_blocks(row_ptr) == [0, len(lengths)], (
+            lengths)
+    # one entry more than a block is cut
+    row_ptr = np.array([0, block, block + 1], dtype=np.int64)
+    assert spmvsim.core._oracle_blocks(row_ptr) == [0, 1, 2]
 
 
 def row_ids_by_loop(row_ptr):

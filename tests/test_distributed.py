@@ -114,6 +114,19 @@ def test_trace_ops_uneven_path(ref):
                    + ["allreduce_sum"] * 5)
 
 
+@pytest.mark.parametrize("col_sizes, gather", [
+    ([18, 18], "allgather"),  # the default split, but explicit
+    ([20, 16], "allgatherv"),
+], ids=["18-18", "20-16"])
+def test_trace_ops_explicit_path(ref, col_sizes, gather):
+    report = run_distributed(ref, 2, explicit_col_sizes=col_sizes)
+    ops = [r.op for r in report.trace.records]
+    # an explicit split always gathers the block lengths first
+    assert ops == (["exscan_sum"] * 2 + ["exscan_sum"] * 2
+                   + ["allgather"] * 2 + [gather] * 2
+                   + ["allreduce_sum"] * 2)
+
+
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_rank_on_the_other_gather_branch_is_refused(ref, monkeypatch, size,
