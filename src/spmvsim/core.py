@@ -132,7 +132,8 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
         v.append(f"row_ptr[m] = {rp[mat.m]} != stored entry count {len(cj)}")
     if len(av) != len(cj):
         v.append(f"values length {len(av)} != col_idx length {len(cj)}")
-    bad = ((cj < 0) | (cj >= mat.N)).nonzero()[0]
+    # one mask: a negative index reads as 2**63 or more in uint64
+    bad = (cj.view(np.uint64) >= mat.N).nonzero()[0]
     if len(bad):
         p = int(bad[0])
         v.append(f"col_idx[{p}] = {cj[p]} out of range [0, {mat.N})")

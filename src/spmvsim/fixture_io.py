@@ -22,15 +22,33 @@ file in cell-key order, the order the sorted-entry oracle sums in, plus an
 array file for x next to it. Import accepts entries in any order; z is not
 in the format and is recomputed from the sorted-entry oracle on import.
 
-Both readers take files as UTF-8 and convert a whole array line, or a block
-of Matrix Market entry lines, at a time, but every token still follows
-Python's int() or float() rules. Of several bad tokens or lines the first in
-file order is reported, with the number of the line that holds it; only a
-bad value in the Matrix Market x file is reported without one.
+Both writers and both readers share one number codec, which works with
+NumPy on a whole array, or a bounded slice of one, as ASCII bytes.
+ - It spells int64 arrays, and float arrays whose entries are all integral
+   with |v| < 2**53, as decimal digits, plus ".0" for a float and a "-"
+   wherever the sign bit is set: repr's own spelling of those values, -0.0
+   included. Any other slice is spelled by repr.
+ - It reads an integer token of the form -?[0-9]{1,18} as its digits, and a
+   float token of the form -?[0-9]+([.][0-9]+)? with at most 15 digits as
+   float(D) / 10.0**k, where D is the token's digits and k the number after
+   the point, and then applies the sign. D and 10**k (k <= 14) are exact in
+   float64, so the one division rounds once, to the value float() gives
+   (Clinger's fast path). Tokens are separated by single spaces, and
+   Matrix Market text must also have the exporter's shape: lines of
+   "row col value" or of one x entry, each ended by a line feed.
+Files are read as UTF-8 text, which turns CRLF and CR line ends into line
+feeds. A slice holding any token or line outside that grammar goes, with
+the rest of its array or file, through Python's int() and float() a token
+at a time, in blocks of Matrix Market lines, so "1_0" still reads as 10,
+"1e5" and "+3" still parse, and every error reads as before. Of
+several bad tokens or lines the first in file order is reported, with the
+number of the line that holds it; only a bad value in the Matrix Market x
+file is reported without one.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from itertools import islice
 from pathlib import Path
@@ -117,6 +135,159 @@ def _int64(token: str) -> int:
     return value
 
 
+# -- the number codec --------------------------------------------------------
+
+# text characters one parse slice holds and entries one format slice holds,
+# so the codec's temporaries stay within a few MB for any size of file
+_SLICE = 1 << 16
+# 10.0**k for k = 0..14, each exact in float64
+_EXACT_POW10 = np.array([float(10**k) for k in range(15)])
+
+
+def _format(columns: list[np.ndarray], end: str) -> str:
+    """Row i of the equal-length columns as repr(column[i]) for each column,
+    joined by single spaces and followed by end, for every row i: an array
+    line's body (end " ", so with one trailing space) or Matrix Market lines
+    (end a line feed)."""
+    return "".join(_format_slice([c[lo:lo + _SLICE] for c in columns], end)
+                   for lo in range(0, len(columns[0]), _SLICE))
+
+
+def _format_slice(columns: list[np.ndarray], end: str) -> str:
+    spellings = [_spelling(c) for c in columns]
+    if any(s is None for s in spellings):
+        reprs = [map(repr, c.tolist()) for c in columns]
+        rows = reprs[0] if len(reprs) == 1 else map(" ".join, zip(*reprs))
+        return end.join(rows) + end
+    ends = [" "] * (len(columns) - 1) + [end]
+    fields = [_spell(*s, e) for s, e in zip(spellings, ends)]
+    return np.hstack(fields).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _spelling(column: np.ndarray) -> tuple | None:
+    """The sign bits, uint64 magnitudes and suffix ("" or ".0") that spell
+    column's reprs; None unless column is int64, or float64 with only
+    integral entries of magnitude below 2**53."""
+    if column.dtype == np.int64:
+        mag = column.astype(np.uint64)
+        neg = column < 0
+        np.negative(mag, out=mag, where=neg)  # |-2**63| fits in uint64
+        return neg, mag, ""
+    if column.dtype != np.float64:
+        return None
+    mag = np.abs(column)
+    if not (mag < 2.0**53).all():  # nan and inf fail this too
+        return None
+    whole = mag.astype(np.uint64)
+    if not (whole == mag).all():
+        return None
+    return np.signbit(column), whole, ".0"
+
+
+def _spell(neg: np.ndarray, mag: np.ndarray, suffix: str,
+           end: str) -> np.ndarray:
+    """A uint8 matrix whose row i is zero bytes, then a "-" if neg[i], the
+    decimal digits of mag[i] and suffix, then end."""
+    width = len(str(int(mag.max())))
+    tail = (suffix + end).encode("ascii")
+    out = np.zeros((len(mag), 1 + width + len(tail)), dtype=np.uint8)
+    for j, byte in enumerate(tail, start=width + 1):
+        out[:, j] = byte
+    for k in range(width):  # the k-th digit from the right, in column width-k
+        live = mag != 0 if k else True  # zeros before the first digit stay 0
+        mag, digit = np.divmod(mag, 10)
+        digit += ord("0")
+        np.multiply(digit, live, out=out[:, width - k], casting="unsafe")
+    rows = neg.nonzero()[0]
+    out[rows, width - (out[rows, 1:width + 1] != 0).sum(axis=1)] = ord("-")
+    return out
+
+
+def _parse(text: str, n: int, dtypes: tuple, end: str) -> list | None:
+    """The inverse of _format: n rows of text, each of one token per dtype
+    joined by single spaces and followed by end (the text's last end may be
+    missing), as one array per column; None when text is not exactly that
+    or a token is outside the codec's grammar."""
+    seps = " " * (len(dtypes) - 1) + end
+    if 2 * n * len(seps) > len(text) + 1:  # too short, whatever n claims
+        return None
+    outs = [np.empty(n, dtype) for dtype in dtypes]
+    k, done, lo = len(seps), 0, 0
+    while lo < len(text):
+        # a slice ends just after a row, or at the end of the text
+        hi = text.find(seps[-1], lo + _SLICE) + 1 or len(text)
+        chunk = text[lo:hi]
+        if chunk[-1] != seps[-1]:
+            chunk += seps[-1]
+        lo = hi
+        try:
+            b = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError:
+            return None
+        is_sep = b == ord(seps[-1])
+        for sep in set(seps) - {seps[-1]}:
+            is_sep |= b == ord(sep)
+        cut = is_sep.nonzero()[0]
+        rows, extra = divmod(len(cut), k)
+        if extra or done + rows > n:
+            return None
+        starts = np.concatenate(([0], cut[:-1] + 1))
+        for j, out in enumerate(outs):
+            # the separator after each token is the one its column calls for
+            if (b[cut[j::k]] != ord(seps[j])).any():
+                return None
+            part = _decode(b, starts[j::k], cut[j::k], out.dtype)
+            if part is None:
+                return None
+            out[done:done + rows] = part
+        done += rows
+    return outs if done == n else None
+
+
+def _decode(b: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+            dtype) -> np.ndarray | None:
+    """The numbers the ASCII tokens b[starts[i]:ends[i]] spell, or None if
+    one, an empty one too, is outside the codec's grammar for dtype."""
+    neg = b[starts] == ord("-")
+    first = starts + neg
+    width = ends - first
+    w = int(width.max())
+    # 18 digits, or 15 digits and a point
+    if width.min() < 1 or w > (18 if dtype == np.int64 else 16):
+        return None
+    # row j holds each token's j-th of w places before its end: digits 0..9,
+    # and zeros before the token; tokens run along rows for NumPy's loops
+    at = ends + np.arange(-w, 0)[:, None]
+    digits = b[at] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+    np.multiply(digits, at >= first, out=digits)
+    if dtype != np.int64:
+        point = digits == (ord(".") - ord("0")) % 256
+        digits[point] = 0
+    if (digits > 9).any():
+        return None
+    value = np.zeros(len(ends), dtype=np.int64)
+    for place in digits:  # a point reads as a 0 digit
+        value *= 10
+        value += place
+    if dtype == np.int64:
+        return np.negative(value, out=value, where=neg)
+    # k digits after the point; with two points count_nonzero tells
+    has_point = np.zeros(len(ends), dtype=bool)
+    k = np.zeros(len(ends), dtype=np.int64)
+    for at_point in point:
+        k += has_point
+        has_point |= at_point
+    if (np.count_nonzero(point) != np.count_nonzero(has_point)
+            or (width - has_point > 15).any()
+            or (has_point & ((k < 1) | (k > width - 2))).any()):
+        return None
+    # drop the point's 0 digit
+    p = 10 ** k
+    value = np.where(has_point, value // (10 * p) * p + value % p, value)
+    out = value / _EXACT_POW10[k]
+    return np.negative(out, out=out, where=neg)
+
+
 def write_fixture(fixture: Fixture, dest) -> None:
     """Write a fixture in the canonical text format.
 
@@ -130,15 +301,21 @@ def write_fixture(fixture: Fixture, dest) -> None:
     lines.append(f"nnz {fixture.nnz}")
     for key, value in fixture.metadata.items():
         lines.append(f"meta {key} {value}")
-    # repr of a Python int is its str, so one rule serves every array
     for name, arr in zip(_ARRAY_FIELDS, (fixture.row_ptr, fixture.col_idx,
                                          fixture.values, fixture.x, fixture.z)):
-        body = " ".join(map(repr, arr.tolist()))
-        lines.append(f"{name} {len(arr)} {body}".rstrip())
+        # rstrip drops the space _format puts after the last entry
+        lines.append(f"{name} {len(arr)} {_format([arr], ' ')}".rstrip())
     Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_array(tokens: list[str], lineno: int, name: str, dtype):
+def _parse_array(text: str, lineno: int, name: str, dtype):
+    """The array an array line's text after its key gives."""
+    count, _, body = text.partition(" ")
+    if count.isdecimal():
+        parsed = _parse(body, int(count), (dtype,), " ")
+        if parsed is not None:
+            return parsed[0]
+    tokens = text.split()
     if not tokens:
         raise FixtureFormatError(f"{name}: missing length", lineno)
     try:
@@ -177,10 +354,18 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
     arrays: dict[str, np.ndarray] = {}
     metadata: dict[str, str] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        head = raw.split(None, 1)
+        if not head:
+            continue
+        key = head[0]
+        if key in _ARRAY_FIELDS:
+            if key in arrays:
+                raise FixtureFormatError(f"duplicate field '{key}'", lineno)
+            dtype = np.int64 if key in ("rowptr", "colidx") else np.float64
+            arrays[key] = _parse_array(head[1] if len(head) == 2 else "",
+                                       lineno, key, dtype)
             continue
         tokens = raw.split()
-        key = tokens[0]
         if key == "meta":
             if len(tokens) < 2:
                 raise FixtureFormatError("meta: missing key", lineno)
@@ -196,11 +381,6 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
             except ValueError:
                 raise FixtureFormatError(
                     f"{key}: {tokens[1]!r} is not an integer", lineno) from None
-        elif key in _ARRAY_FIELDS:
-            if key in arrays:
-                raise FixtureFormatError(f"duplicate field '{key}'", lineno)
-            dtype = np.int64 if key in ("rowptr", "colidx") else np.float64
-            arrays[key] = _parse_array(tokens[1:], lineno, key, dtype)
         else:
             raise FixtureFormatError(f"unknown field {key!r}", lineno)
     for name in _SCALAR_FIELDS:
@@ -259,15 +439,14 @@ def export_matrix_market(fixture: Fixture, dest) -> Path:
     x_path = companion_x_path(dest)
     rows = _row_ids(fixture.row_ptr)
     order = _cell_order(rows, fixture.col_idx, fixture.N)
-    lines = [f"{_MM_BANNER} matrix coordinate real general",
-             f"{fixture.M} {fixture.N} {fixture.nnz}"]
-    lines.extend(f"{r} {c} {v!r}" for r, c, v in zip(
-        (rows[order] + 1).tolist(), (fixture.col_idx[order] + 1).tolist(),
-        fixture.values[order].tolist()))
-    dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    x_lines = [f"{_MM_BANNER} matrix array real general", f"{fixture.N} 1",
-               *map(repr, fixture.x.tolist())]
-    x_path.write_text("\n".join(x_lines) + "\n", encoding="utf-8")
+    entries = _format([rows[order] + 1, fixture.col_idx[order] + 1,
+                       fixture.values[order]], "\n")
+    dest.write_text(f"{_MM_BANNER} matrix coordinate real general\n"
+                    f"{fixture.M} {fixture.N} {fixture.nnz}\n" + entries,
+                    encoding="utf-8")
+    x_path.write_text(f"{_MM_BANNER} matrix array real general\n"
+                      f"{fixture.N} 1\n" + _format([fixture.x], "\n"),
+                      encoding="utf-8")
     return x_path
 
 
@@ -295,63 +474,102 @@ def _mm_header(first_line: str, path, want_format: str) -> None:
             f"only general matrices are supported", line=1)
 
 
-def _mm_body(source) -> tuple[list[str], Callable[[int], int], str]:
-    """The stripped lines after the header that are not blank or % comments,
-    a function giving the line number of body[k], and the header line."""
-    lines = _read_text(source).splitlines()
-    if not lines:
+# the line breaks str.splitlines cuts at
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _mm_body(source) -> tuple[str, str, int, str]:
+    """The header line; the first later line that is neither blank nor a %
+    comment, stripped, and its line number; and the text after that line.
+    Lines end where str.splitlines ends them."""
+    text = _read_text(source)
+    if not text:
         raise FixtureFormatError(f"{source}: empty file", line=1)
-    body = [s for s in map(str.strip, lines[1:]) if s and s[0] != "%"]
-    if not body:
-        raise FixtureFormatError(f"{source}: missing size line")
+    header, start, lineno = None, 0, 0
+    while start < len(text):
+        brk = _LINE_BREAK.search(text, start)
+        end, after = brk.span() if brk else (len(text), len(text))
+        line, start, lineno = text[start:end], after, lineno + 1
+        if header is None:
+            header = line
+        elif (stripped := line.strip()) and stripped[0] != "%":
+            return header, stripped, lineno, text[start:]
+    raise FixtureFormatError(f"{source}: missing size line")
+
+
+def _kept_lines(text: str, lineno: int) -> tuple[list[str],
+                                                 Callable[[int], int]]:
+    """The stripped lines of text that are neither blank nor % comments, and
+    a function giving the line number of the k-th, counting text's first
+    line as line lineno."""
+    lines = text.splitlines()
+    kept = [s for s in map(str.strip, lines) if s and s[0] != "%"]
 
     def line_of(k: int) -> int:
-        kept = (lineno for lineno, raw in enumerate(lines[1:], start=2)
-                if (s := raw.strip()) and s[0] != "%")
-        return next(islice(kept, k, None))
+        numbers = (number for number, raw in enumerate(lines, start=lineno)
+                   if (s := raw.strip()) and s[0] != "%")
+        return next(islice(numbers, k, None))
 
-    return body, line_of, lines[0]
+    return kept, line_of
 
 
 def _read_mm_x(source, expected_n: int) -> np.ndarray:
-    body, line_of, header = _mm_body(source)
+    header, size, lineno, text = _mm_body(source)
     _mm_header(header, source, "array")
-    dims = body[0].split()
+    dims = size.split()
     if len(dims) != 2 or dims[1] != "1" or not dims[0].isdecimal():
         raise FixtureFormatError(
-            f"{source}: expected an N x 1 array size line, got {body[0]!r}",
-            line_of(0))
+            f"{source}: expected an N x 1 array size line, got {size!r}",
+            lineno)
     n = int(dims[0])
     if n != expected_n:
         raise FixtureValidationError(
             f"{source}: x has {n} entries but the matrix has {expected_n} "
             f"columns")
-    if len(body) - 1 != n:
+    parsed = _parse(text, n, (np.float64,), "\n")
+    if parsed is not None:
+        return parsed[0]
+    body, _ = _kept_lines(text, lineno + 1)
+    if len(body) != n:
         raise FixtureFormatError(
-            f"{source}: expected {n} vector entries, got {len(body) - 1}")
+            f"{source}: expected {n} vector entries, got {len(body)}")
     try:
-        return np.fromiter(map(float, islice(body, 1, None)), np.float64, n)
+        return np.fromiter(map(float, body), np.float64, n)
     except ValueError as exc:
         raise FixtureFormatError(f"{source}: {exc}") from None
 
 
-def _mm_entries(source, body, line_of, M: int, N: int):
-    """0-based rows, 0-based columns and values of the entry lines body[1:].
+def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
+    """0-based rows, 0-based columns and values of the nnz entry lines in
+    text, the text after the size line, which is line lineno.
 
-    Each block of k lines, at most _BLOCK_LINES, is joined with " ; " and
-    split once. When that gives 4k - 1 tokens and every token off the k - 1
-    places of the separators in three-token lines passes int() or float(),
-    and so is not ";", the separators fill those places: no line held a ";"
-    and each held exactly three tokens. A block that fails any check hands
-    over to _raise_entry_error.
+    The codec reads text as the exporter writes it. Otherwise, after the
+    count of kept lines is checked, each block of k of them, at most
+    _BLOCK_LINES, is joined with " ; " and split once. When that gives
+    4k - 1 tokens and every token off the k - 1 places of the separators in
+    three-token lines passes int() or float(), and so is not ";", the
+    separators fill those places: no line held a ";" and each held exactly
+    three tokens. A block that fails any check hands over to
+    _raise_entry_error.
     """
-    nnz = len(body) - 1
+    parsed = _parse(text, nnz, (np.int64, np.int64, np.float64), "\n")
+    if parsed is not None:
+        rows, cols, vals = parsed
+        if nnz == 0 or (rows.min() >= 1 and rows.max() <= M
+                        and cols.min() >= 1 and cols.max() <= N):
+            rows -= 1
+            cols -= 1
+            return rows, cols, vals
+    body, line_of = _kept_lines(text, lineno + 1)
+    if len(body) != nnz:
+        raise FixtureFormatError(
+            f"{source}: expected {nnz} entries, got {len(body)}")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
     try:
         for lo in range(0, nnz, _BLOCK_LINES):
-            block = body[1 + lo:1 + lo + _BLOCK_LINES]
+            block = body[lo:lo + _BLOCK_LINES]
             k = len(block)
             tokens = " ; ".join(block).split()
             if len(tokens) != 4 * k - 1:
@@ -372,7 +590,7 @@ def _mm_entries(source, body, line_of, M: int, N: int):
 
 def _raise_entry_error(source, body, line_of, M: int, N: int) -> None:
     """Raise the error of the first bad entry line in file order."""
-    for k, stripped in enumerate(islice(body, 1, None), start=1):
+    for k, stripped in enumerate(body):
         tokens = stripped.split()
         if len(tokens) != 3:
             raise FixtureFormatError(
@@ -396,29 +614,26 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
     path when present) and is otherwise generated from x_seed as small
     positive integers. z is always recomputed with the sorted-entry oracle.
     """
-    body, line_of, header = _mm_body(source)
+    header, size, lineno, text = _mm_body(source)
     _mm_header(header, source, "coordinate")
-    size_tokens = body[0].split()
+    size_tokens = size.split()
     if len(size_tokens) != 3:
         raise FixtureFormatError(
-            f"{source}: size line must be 'M N NNZ', got {body[0]!r}",
-            line_of(0))
+            f"{source}: size line must be 'M N NNZ', got {size!r}", lineno)
     try:
         M, N, nnz = (int(t) for t in size_tokens)
     except ValueError:
         raise FixtureFormatError(
-            f"{source}: size line must be integers, got {body[0]!r}",
-            line_of(0)) from None
+            f"{source}: size line must be integers, got {size!r}",
+            lineno) from None
     if M < 1 or N < 1 or nnz < 0:
         raise FixtureFormatError(
-            f"{source}: invalid sizes M={M} N={N} nnz={nnz}", line_of(0))
+            f"{source}: invalid sizes M={M} N={N} nnz={nnz}", lineno)
     if M * N > _MAX_CELLS:
         raise FixtureFormatError(
-            f"{source}: {M} x {N} exceeds {_MAX_CELLS} cells", line_of(0))
-    if len(body) - 1 != nnz:
-        raise FixtureFormatError(
-            f"{source}: expected {nnz} entries, got {len(body) - 1}")
-    rows, cols, vals = _mm_entries(source, body, line_of, M, N)
+            f"{source}: {M} x {N} exceeds {_MAX_CELLS} cells", lineno)
+    rows, cols, vals = _mm_entries(source, text, lineno, M, N, nnz)
+    del text  # the arrays hold what the text held
     order = _cell_order(rows, cols, N)
     row_ptr = np.zeros(M + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=M), out=row_ptr[1:])

@@ -137,6 +137,18 @@ def test_validate_rejects_column_out_of_range():
     assert any("out of range" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("cols, first_bad", [
+    ([0, -1], "col_idx[1] = -1"),
+    ([-2**63, 5], f"col_idx[0] = {-2**63}"),
+    ([1, 2, -1], "col_idx[1] = 2"),
+    ([1, 2**63 - 1], f"col_idx[1] = {2**63 - 1}"),
+])
+def test_validate_names_first_column_out_of_range(cols, first_bad):
+    # negative and too-large indices alike, whichever comes first
+    mat = CsrMatrix.sequential([0, len(cols)], cols, [1.0] * len(cols), n=2)
+    assert validate_csr(mat).violations == [f"{first_bad} out of range [0, 2)"]
+
+
 def test_validate_rejects_bad_local_block():
     mat = CsrMatrix(m=2, n=2, M=3, N=2, rstart=2, cstart=0,
                     row_ptr=[0, 0, 0], col_idx=[], values=[])

@@ -1,7 +1,9 @@
 """Canonical fixture files and Matrix Market interop."""
 
+import re
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -392,8 +394,9 @@ def test_read_fixture_checks_extents_in_validate_fixture(tmp_path, ref, field,
 
 def test_validate_fixture_sorts_one_block_of_keys_at_a_time():
     # NumPy reports its buffers to tracemalloc. On the 303,617-entry matrix
-    # one whole-matrix int64 array takes 2.4 MB; one block's duplicate-cell
-    # keys take 2 * 256 KiB and the finiteness masks 2 bytes per entry
+    # one whole-matrix int64 array takes 2.4 MB; one block's row ids and
+    # duplicate-cell keys take 2 * 256 KiB (527,179 B measured), above the
+    # column-range and finiteness masks' 1 byte per entry each
     fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
     validate_fixture(reference_fixture())  # lazy imports stay out
     tracemalloc.start()
@@ -402,7 +405,7 @@ def test_validate_fixture_sorts_one_block_of_keys_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak
+    assert peak < 2**19 + 2**14, peak
 
 
 # -- parser fuzzing ---------------------------------------------------------
@@ -600,10 +603,11 @@ def test_mm_io_equals_sort_references(fx, data):
 
 # -- bulk parsing against per-token references ------------------------------
 
-def parse_array_by_token(tokens, lineno, name, dtype):
-    """One array line converted a token at a time into a list: the
-    reference _parse_array must match."""
+def parse_array_by_token(text, lineno, name, dtype):
+    """One array line's text after its key split and converted a token at a
+    time into a list: the reference _parse_array must match."""
     caster = fixture_io._int64 if dtype is np.int64 else float
+    tokens = text.split()
     if not tokens:
         raise FixtureFormatError(f"{name}: missing length", lineno)
     try:
@@ -622,8 +626,9 @@ def parse_array_by_token(tokens, lineno, name, dtype):
 
 
 def mm_body_two_lists(source):
-    """The kept lines and their line numbers built side by side: the
-    reference _mm_body must match."""
+    """The kept lines and their line numbers built side by side, and the
+    lines after the first kept one joined again: the reference _mm_body
+    must match."""
     lines = fixture_io._read_text(source).splitlines()
     if not lines:
         raise FixtureFormatError(f"{source}: empty file", line=1)
@@ -638,28 +643,40 @@ def mm_body_two_lists(source):
         numbers.append(lineno)
     if not body:
         raise FixtureFormatError(f"{source}: missing size line")
-    return body, numbers.__getitem__, header
+    return header, body[0], numbers[0], "\n".join(lines[numbers[0]:])
 
 
-def mm_entries_by_line(source, body, line_of, M, N):
+def kept_lines(text, lineno):
+    """Each line of text that is not blank or a % comment, stripped, with
+    its line number, counting text's first line as line lineno."""
+    return [(stripped, number)
+            for number, raw in enumerate(text.splitlines(), start=lineno)
+            if (stripped := raw.strip()) and not stripped.startswith("%")]
+
+
+def mm_entries_by_line(source, text, lineno, M, N, nnz):
     """Each entry line split, converted and range-checked on its own: the
     reference _mm_entries must match."""
+    entries = kept_lines(text, lineno + 1)
+    if len(entries) != nnz:
+        raise FixtureFormatError(
+            f"{source}: expected {nnz} entries, got {len(entries)}")
     rows, cols, vals = [], [], []
-    for k, stripped in enumerate(body[1:], start=1):
+    for stripped, number in entries:
         tokens = stripped.split()
         if len(tokens) != 3:
             raise FixtureFormatError(
                 f"{source}: entry must be 'row col value', got {stripped!r}",
-                line_of(k))
+                number)
         try:
             r, c = int(tokens[0]), int(tokens[1])
             v = float(tokens[2])
         except ValueError as exc:
-            raise FixtureFormatError(f"{source}: {exc}", line_of(k)) from None
+            raise FixtureFormatError(f"{source}: {exc}", number) from None
         if not (1 <= r <= M and 1 <= c <= N):
             raise FixtureFormatError(
                 f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}",
-                line_of(k))
+                number)
         rows.append(r - 1)
         cols.append(c - 1)
         vals.append(v)
@@ -670,23 +687,24 @@ def mm_entries_by_line(source, body, line_of, M, N):
 def read_mm_x_by_token(source, expected_n):
     """The x array file converted a line at a time: the reference
     _read_mm_x must match."""
-    body, line_of, header = fixture_io._mm_body(source)
+    header, size, lineno, text = fixture_io._mm_body(source)
     fixture_io._mm_header(header, source, "array")
-    dims = body[0].split()
+    dims = size.split()
     if len(dims) != 2 or dims[1] != "1" or not dims[0].isdecimal():
         raise FixtureFormatError(
-            f"{source}: expected an N x 1 array size line, got {body[0]!r}",
-            line_of(0))
+            f"{source}: expected an N x 1 array size line, got {size!r}",
+            lineno)
     n = int(dims[0])
     if n != expected_n:
         raise FixtureValidationError(
             f"{source}: x has {n} entries but the matrix has {expected_n} "
             f"columns")
-    if len(body) - 1 != n:
+    body = [stripped for stripped, _ in kept_lines(text, lineno + 1)]
+    if len(body) != n:
         raise FixtureFormatError(
-            f"{source}: expected {n} vector entries, got {len(body) - 1}")
+            f"{source}: expected {n} vector entries, got {len(body)}")
     try:
-        return np.array([float(t) for t in body[1:]], dtype=np.float64)
+        return np.array([float(t) for t in body], dtype=np.float64)
     except ValueError as exc:
         raise FixtureFormatError(f"{source}: {exc}") from None
 
@@ -725,12 +743,14 @@ def outcome(read, path):
         return type(exc), str(exc)
 
 
-def assert_same_outcome(read, path, block_lines=fixture_io._BLOCK_LINES):
+def assert_same_outcome(read, path, block_lines=fixture_io._BLOCK_LINES,
+                        slice_chars=fixture_io._SLICE):
     """read(path) with the module's parsers, in blocks of block_lines entry
-    lines, gives what it gives with the per-token references: the same
-    arrays and metadata bit for bit, or the same exception class and
-    message."""
-    with mock.patch.object(fixture_io, "_BLOCK_LINES", block_lines):
+    lines and codec slices of slice_chars characters, gives what it gives
+    with the per-token references: the same arrays and metadata bit for
+    bit, or the same exception class and message."""
+    with mock.patch.multiple(fixture_io, _BLOCK_LINES=block_lines,
+                             _SLICE=slice_chars):
         fast = outcome(read, path)
     with mock.patch.multiple(fixture_io, **REFERENCES):
         slow = outcome(read, path)
@@ -744,28 +764,35 @@ def assert_same_outcome(read, path, block_lines=fixture_io._BLOCK_LINES):
 
 
 DIFFERENTIAL = settings(max_examples=300, deadline=None)
+# small codec slices put tokens and lines on slice edges
+SLICE_CHARS = st.sampled_from([1, 2, 5, 16, fixture_io._SLICE])
 
 
 @DIFFERENTIAL
-@given(text=edge_documents("seed.fx"), check=st.booleans())
-def test_read_fixture_equals_token_references(text, check):
+@given(text=edge_documents("seed.fx"), check=st.booleans(),
+       slice_chars=SLICE_CHARS)
+def test_read_fixture_equals_token_references(text, check, slice_chars):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.fx"
         path.write_bytes(text.encode())
         assert_same_outcome(
-            lambda p: read_fixture(p, check_ground_truth=check), path)
+            lambda p: read_fixture(p, check_ground_truth=check), path,
+            slice_chars=slice_chars)
 
 
 @DIFFERENTIAL
 @given(matrix=edge_documents("seed.mtx"), x=edge_documents("seed.x.mtx"),
-       block_lines=st.sampled_from([1, 2, 4, fixture_io._BLOCK_LINES]))
-def test_import_matrix_market_equals_line_references(matrix, x, block_lines):
+       block_lines=st.sampled_from([1, 2, 4, fixture_io._BLOCK_LINES]),
+       slice_chars=SLICE_CHARS)
+def test_import_matrix_market_equals_line_references(matrix, x, block_lines,
+                                                      slice_chars):
     # small blocks put a bad line in a later block than the first
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.mtx"
         path.write_bytes(matrix.encode())
         companion_x_path(path).write_bytes(x.encode())
-        assert_same_outcome(import_matrix_market, path, block_lines)
+        assert_same_outcome(import_matrix_market, path, block_lines,
+                            slice_chars)
 
 
 def mm_text(entries, *, comment_every=0):
@@ -821,6 +848,38 @@ def test_mm_entry_error_in_later_block_names_physical_line(tmp_path, bad,
     assert exc.value.line == numbers[bad_at]
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\x0b", "\u2028"])
+def test_mm_error_names_physical_line_across_line_ends(tmp_path, end):
+    # every line break str.splitlines knows ends a line; reading the file
+    # as text turns CRLF and CR into one line feed each
+    text, numbers = mm_text(["1 1 1.0", "2 2 2.0", "7 8 x"], comment_every=2)
+    path = tmp_path / "ends.mtx"
+    path.write_bytes(text.replace("\n", end).encode())
+    with pytest.raises(FixtureFormatError,
+                       match="could not convert string to float") as exc:
+        import_matrix_market(path)
+    assert exc.value.line == numbers[2] == 9
+
+
+def test_a_declared_length_past_the_text_is_a_format_error(tmp_path, ref):
+    # the codec must not allocate what a length it has not checked claims
+    write_fixture(ref, tmp_path / "ref.fx")
+    path = tmp_path / "long.fx"
+    path.write_text((tmp_path / "ref.fx").read_text().replace(
+        "colidx 49 ", f"colidx {2**59} "))
+    with pytest.raises(FixtureFormatError,
+                       match=f"colidx: expected {2**59} values, got 49"):
+        read_fixture(path)
+    export_matrix_market(ref, tmp_path / "ref.mtx")
+    (tmp_path / "long.mtx").write_text((tmp_path / "ref.mtx").read_text()
+                                       .replace("32 36 49", "32 36 10000000000"))
+    companion_x_path(tmp_path / "ref.mtx").rename(
+        companion_x_path(tmp_path / "long.mtx"))
+    with pytest.raises(FixtureFormatError,
+                       match="expected 10000000000 entries, got 49"):
+        import_matrix_market(tmp_path / "long.mtx")
+
+
 def test_index_beyond_int64_names_its_line(tmp_path, ref):
     ref.metadata = {"note": "two lines of metadata", "more": "here"}
     path = tmp_path / "wide.fx"
@@ -836,3 +895,177 @@ def test_index_beyond_int64_names_its_line(tmp_path, ref):
         read_fixture(path)
     assert str(exc.value) == (f"line {lineno}: colidx: '{2**63}' does not "
                               f"fit in int64")
+
+
+# -- the number codec against repr, int() and float() -----------------------
+
+INT64_ENDS = [0, 1, -1, 2**53, -2**53, 10**15, 10**18 - 1, -(10**18 - 1),
+              10**18, 2**63 - 1, -2**63, -2**63 + 1]
+INT64S = st.integers(-2**63, 2**63 - 1) | st.sampled_from(INT64_ENDS)
+# integral floats the formatter spells itself, and floats it leaves to repr:
+# non-integers, 2**53 and beyond, 1e16 (which repr writes as 1e+16), tiny
+# and non-finite ones
+FLOAT_EDGES = [0.0, -0.0, 1.0, -1.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53,
+               -2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 1e15, -1e15, 1e16,
+               -1e16, 0.1, -2.5, 1e-300, 5e-324, float("nan"), float("inf"),
+               float("-inf")]
+FLOATS = (st.integers(-1000, 1000).map(float)
+          | st.integers(-2**53 + 1, 2**53 - 1).map(float)
+          | st.sampled_from(FLOAT_EDGES) | NON_INTEGER | st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ints=st.lists(INT64S, max_size=30), floats=st.data(),
+       slice_entries=st.sampled_from([1, 2, 7, fixture_io._SLICE]))
+def test_format_equals_repr(ints, floats, slice_entries):
+    floats = floats.draw(st.lists(FLOATS, min_size=len(ints),
+                                  max_size=len(ints)))
+    i64, f64 = np.array(ints, dtype=np.int64), np.array(floats)
+    with mock.patch.object(fixture_io, "_SLICE", slice_entries):
+        for arr in (i64, f64):
+            assert fixture_io._format([arr], " ") == "".join(
+                repr(v) + " " for v in arr.tolist())
+            assert (fixture_io._format([arr], " ").rstrip(" ")
+                    == " ".join(map(repr, arr.tolist())))
+        assert fixture_io._format([i64, i64, f64], "\n") == "".join(
+            f"{r} {c} {v!r}\n" for r, c, v in zip(ints, ints, floats))
+
+
+def spelled(whole, frac):
+    """Tokens of an optional "-", 1..whole digits and, if frac, an optional
+    point and 1..frac digits."""
+    digits = partial(st.text, "0123456789", min_size=1)
+    point = st.just("")
+    if frac:
+        point |= digits(max_size=frac).map(lambda f: "." + f)
+    return st.builds(lambda *parts: "".join(parts), st.sampled_from(["", "-"]),
+                     digits(max_size=whole), point)
+
+
+# tokens inside the codec's grammar for each dtype, and on its edges: points
+# at either end, 15 and 16 significant digits, 18 and 19 integer digits,
+# int64's ends, other spellings int() or float() accept, non-ASCII digits
+SPELLINGS = {np.int64: spelled(18, 0), np.float64: spelled(8, 7)}
+EDGE_NUMBERS = [".5", "5.", "-.5", "+3", "1_0", "٣", "²", "1e5", "1E5", "-",
+                "--1", "1.2.3", "0x1", "nan", "inf", "-inf", "-0", "-0.0",
+                "007", "1" * 15, "1" * 16, "9" * 18, "9" * 19, "0." + "0" * 14,
+                "1." + "2" * 14, "1." + "2" * 15, str(2**63 - 1), str(-2**63),
+                str(2**63), "9007199254740993", "0.1", "1e-300", "1e+16"]
+NUMBER_TOKENS = (spelled(19, 16) | st.sampled_from(EDGE_NUMBERS)
+                 | FLOATS.map(repr) | INT64S.map(str))
+
+
+def token_lists(dtype):
+    """Tokens inside the grammar for dtype, the same with one token from
+    anywhere among them, and tokens from anywhere."""
+    inside = st.lists(SPELLINGS[dtype], max_size=12)
+    return (inside
+            | st.builds(lambda ts, k, t: ts[:k] + [t] + ts[k:], inside,
+                        st.integers(0, 12), NUMBER_TOKENS)
+            | st.lists(NUMBER_TOKENS, max_size=12))
+
+
+def in_grammar(token, dtype):
+    if dtype is np.int64:
+        return re.fullmatch(r"-?[0-9]{1,18}", token) is not None
+    return (re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", token) is not None
+            and sum(c.isdigit() for c in token) <= 15)
+
+
+def converted(tokens, dtype):
+    """Each token through int() or float(), or None if one fails."""
+    try:
+        return np.array([(int if dtype is np.int64 else float)(t)
+                         for t in tokens], dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from([np.int64, np.float64]), data=st.data(),
+       slice_chars=st.sampled_from([1, 2, 5, 16, fixture_io._SLICE]))
+def test_parse_equals_int_and_float(dtype, data, slice_chars):
+    """The codec reads exactly the tokens in its grammar, to int()'s or
+    float()'s value bit for bit, as an array line or as one-entry lines."""
+    tokens = data.draw(token_lists(dtype))
+    want = converted(tokens, dtype)
+    accepted = all(in_grammar(t, dtype) for t in tokens)
+    with mock.patch.object(fixture_io, "_SLICE", slice_chars):
+        for text, sep in ((" ".join(tokens), " "),
+                          ("".join(t + "\n" for t in tokens), "\n")):
+            got = fixture_io._parse(text, len(tokens), (dtype,), sep)
+            assert (got is not None) == accepted, (text, got)
+            if got is not None:
+                assert got[0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.tuples(*[SPELLINGS[np.int64]] * 2,
+                                SPELLINGS[np.float64]), max_size=8)
+       | st.lists(st.tuples(*[SPELLINGS[np.int64] | INT64S.map(str)] * 2,
+                            SPELLINGS[np.float64] | NUMBER_TOKENS),
+                  max_size=8),
+       slice_chars=st.sampled_from([1, 3, 8, fixture_io._SLICE]))
+def test_parse_reads_matrix_market_lines(lines, slice_chars):
+    text = "".join(f"{r} {c} {v}\n" for r, c, v in lines)
+    rows, cols, vals = zip(*lines) if lines else ((), (), ())
+    # the same tokens as lines of one and five tokens
+    moved = text.replace("\n", " ", 1).replace(" ", "\n", 1)
+    with mock.patch.object(fixture_io, "_SLICE", slice_chars):
+        got = fixture_io._parse(text, len(lines),
+                                (np.int64, np.int64, np.float64), "\n")
+        assert len(lines) < 2 or fixture_io._parse(
+            moved, len(lines), (np.int64, np.int64, np.float64),
+            "\n") is None
+    accepted = (all(in_grammar(t, np.int64) for t in rows + cols)
+                and all(in_grammar(t, np.float64) for t in vals))
+    assert (got is not None) == accepted
+    if got is not None:
+        for arr, tokens, dtype in zip(got, (rows, cols, vals),
+                                      (np.int64, np.int64, np.float64)):
+            assert arr.tobytes() == converted(tokens, dtype).tobytes()
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory):
+    """The 303,617-entry multiply-large fixture as a canonical file and as
+    Matrix Market files."""
+    tmp = tmp_path_factory.mktemp("large")
+    fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
+    write_fixture(fx, tmp / "large.fx")
+    export_matrix_market(fx, tmp / "large.mtx")
+    return fx, tmp
+
+
+@pytest.mark.parametrize("read, name, bound", [
+    # 42.2 and 39.6 MB while every token was a string of its own
+    (read_fixture, "large.fx", 21 * 10**6),
+    (import_matrix_market, "large.mtx", 24 * 10**6),
+])
+def test_large_read_parses_in_slices(large_files, read, name, bound):
+    # the fixture's arrays take 4.9 MB and its files 2.7 and 4.1 MB
+    fx, tmp = large_files
+    read(tmp / name)  # lazy imports stay out
+    tracemalloc.start()
+    try:
+        back = read(tmp / name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_fixture_equal(back, fx, include_metadata=False)
+    assert peak <= bound, peak
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_parse_takes_edge_tokens_only_inside_the_grammar(dtype):
+    # each alone, and among tokens the codec takes, on and off slice edges
+    for token in EDGE_NUMBERS:
+        for tokens in ([token], ["1", token, "22"]):
+            want = converted(tokens, dtype)
+            for slice_chars in (1, 2, fixture_io._SLICE):
+                with mock.patch.object(fixture_io, "_SLICE", slice_chars):
+                    got = fixture_io._parse(" ".join(tokens), len(tokens),
+                                            (dtype,), " ")
+                assert (got is not None) == in_grammar(token, dtype), token
+                if got is not None:
+                    assert got[0].tobytes() == want.tobytes(), token
