@@ -27,9 +27,9 @@ from .fixture_io import (FixtureFormatError, FixtureValidationError,
 from .fixtures import GenParams, InvalidGenParams, generate, reference_fixture
 from .verify import verify_fixture
 
-# anything wrong with the request or its data is a usage error (exit 2);
-# only a failed numerical verdict exits 1
-_USAGE_ERRORS = (ValueError, CollectiveError, OSError)
+# anything wrong with the request or its data, sizes too large to allocate
+# included, is a usage error (exit 2); only a failed numerical verdict exits 1
+_USAGE_ERRORS = (ValueError, CollectiveError, OSError, MemoryError)
 
 SUCCESS_LINE = "Succeeded in computing y = Ax"
 ERROR_LINE = "Error in computing y = Ax, with norm = {norm:g}"

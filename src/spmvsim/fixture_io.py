@@ -39,18 +39,14 @@ NumPy on a whole array, or a bounded slice of one, as ASCII bytes.
 Files are read as UTF-8 text, which turns CRLF and CR line ends into line
 feeds. A slice holding any token or line outside that grammar goes, with
 the rest of its array or file, through Python's int() and float() a token
-at a time, in blocks of Matrix Market lines, so "1_0" still reads as 10,
-"1e5" and "+3" still parse, and every error reads as before. Of
-several bad tokens or lines the first in file order is reported, with the
-number of the line that holds it; only a bad value in the Matrix Market x
-file is reported without one.
+at a time, so "1_0" still reads as 10, "1e5" and "+3" still parse, and
+every error reads as before. Of several bad tokens or lines the first in
+file order is reported, with the number of the line that holds it.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -327,13 +323,10 @@ def _parse_array(text: str, lineno: int, name: str, dtype):
     if len(body) != declared:
         raise FixtureFormatError(
             f"{name}: expected {declared} values, got {len(body)}", lineno)
-    caster = float if dtype is np.float64 else int
+    # _int64 words a token beyond int64 before NumPy could overflow on it
+    caster = float if dtype is np.float64 else _int64
     try:
-        try:
-            return np.fromiter(map(caster, body), dtype, declared)
-        except OverflowError:
-            # a token beyond int64: walk again so _int64 words the first one
-            return np.array([_int64(t) for t in body], dtype)
+        return np.fromiter(map(caster, body), dtype, declared)
     except ValueError as exc:
         raise FixtureFormatError(f"{name}: {exc}", lineno) from None
 
@@ -417,9 +410,6 @@ _MM_BANNER = "%%MatrixMarket"
 # arrays of 2**63 bytes or more; below this bound neither the keys nor the
 # M + 1 eight-byte row pointers reach those limits
 _MAX_CELLS = 2**59
-# entry lines parsed per block: a block's token lists stay in cache, where
-# one pass over a whole large file's tokens does not
-_BLOCK_LINES = 2048
 
 
 def companion_x_path(matrix_path) -> Path:
@@ -497,20 +487,22 @@ def _mm_body(source) -> tuple[str, str, int, str]:
     raise FixtureFormatError(f"{source}: missing size line")
 
 
-def _kept_lines(text: str, lineno: int) -> tuple[list[str],
-                                                 Callable[[int], int]]:
-    """The stripped lines of text that are neither blank nor % comments, and
-    a function giving the line number of the k-th, counting text's first
-    line as line lineno."""
-    lines = text.splitlines()
-    kept = [s for s in map(str.strip, lines) if s and s[0] != "%"]
+def _kept_lines(text: str, lineno: int):
+    """Each line of text that is neither blank nor a % comment, stripped,
+    with its line number, counting text's first line as line lineno."""
+    for number, raw in enumerate(text.splitlines(), start=lineno):
+        if (stripped := raw.strip()) and stripped[0] != "%":
+            yield stripped, number
 
-    def line_of(k: int) -> int:
-        numbers = (number for number, raw in enumerate(lines, start=lineno)
-                   if (s := raw.strip()) and s[0] != "%")
-        return next(islice(numbers, k, None))
 
-    return kept, line_of
+def _count_lines(source, text: str, lineno: int, want: int, what: str):
+    """_kept_lines(text, lineno), after a walk of its own has checked that
+    it holds want lines: a wrong count is reported ahead of any bad line,
+    and no array is sized from want before the text bears it out."""
+    got = sum(1 for _ in _kept_lines(text, lineno))
+    if got != want:
+        raise FixtureFormatError(f"{source}: expected {want} {what}, got {got}")
+    return _kept_lines(text, lineno)
 
 
 def _read_mm_x(source, expected_n: int) -> np.ndarray:
@@ -529,29 +521,21 @@ def _read_mm_x(source, expected_n: int) -> np.ndarray:
     parsed = _parse(text, n, (np.float64,), "\n")
     if parsed is not None:
         return parsed[0]
-    body, _ = _kept_lines(text, lineno + 1)
-    if len(body) != n:
-        raise FixtureFormatError(
-            f"{source}: expected {n} vector entries, got {len(body)}")
-    try:
-        return np.fromiter(map(float, body), np.float64, n)
-    except ValueError as exc:
-        raise FixtureFormatError(f"{source}: {exc}") from None
+    lines = _count_lines(source, text, lineno + 1, n, "vector entries")
+    x = np.empty(n, dtype=np.float64)
+    for k, (stripped, number) in enumerate(lines):
+        try:
+            x[k] = float(stripped)
+        except ValueError as exc:
+            raise FixtureFormatError(f"{source}: {exc}", number) from None
+    return x
 
 
 def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
     """0-based rows, 0-based columns and values of the nnz entry lines in
-    text, the text after the size line, which is line lineno.
-
-    The codec reads text as the exporter writes it. Otherwise, after the
-    count of kept lines is checked, each block of k of them, at most
-    _BLOCK_LINES, is joined with " ; " and split once. When that gives
-    4k - 1 tokens and every token off the k - 1 places of the separators in
-    three-token lines passes int() or float(), and so is not ";", the
-    separators fill those places: no line held a ";" and each held exactly
-    three tokens. A block that fails any check hands over to
-    _raise_entry_error.
-    """
+    text, the text after the size line, which is line lineno: through the
+    codec when text is as the exporter writes it, and otherwise a line at a
+    time, raising the error of the first bad line."""
     parsed = _parse(text, nnz, (np.int64, np.int64, np.float64), "\n")
     if parsed is not None:
         rows, cols, vals = parsed
@@ -560,51 +544,26 @@ def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
             rows -= 1
             cols -= 1
             return rows, cols, vals
-    body, line_of = _kept_lines(text, lineno + 1)
-    if len(body) != nnz:
-        raise FixtureFormatError(
-            f"{source}: expected {nnz} entries, got {len(body)}")
+    lines = _count_lines(source, text, lineno + 1, nnz, "entries")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
-    try:
-        for lo in range(0, nnz, _BLOCK_LINES):
-            block = body[lo:lo + _BLOCK_LINES]
-            k = len(block)
-            tokens = " ; ".join(block).split()
-            if len(tokens) != 4 * k - 1:
-                raise ValueError("an entry line without 3 tokens")
-            r = np.fromiter(map(int, tokens[0::4]), np.int64, k)
-            c = np.fromiter(map(int, tokens[1::4]), np.int64, k)
-            if r.min() < 1 or r.max() > M or c.min() < 1 or c.max() > N:
-                raise ValueError("an entry outside the matrix")
-            np.subtract(r, 1, out=rows[lo:lo + k])
-            np.subtract(c, 1, out=cols[lo:lo + k])
-            vals[lo:lo + k] = np.fromiter(map(float, tokens[2::4]),
-                                          np.float64, k)
-    except (ValueError, OverflowError):
-        _raise_entry_error(source, body, line_of, M, N)
-        raise
-    return rows, cols, vals
-
-
-def _raise_entry_error(source, body, line_of, M: int, N: int) -> None:
-    """Raise the error of the first bad entry line in file order."""
-    for k, stripped in enumerate(body):
+    for k, (stripped, number) in enumerate(lines):
         tokens = stripped.split()
         if len(tokens) != 3:
             raise FixtureFormatError(
                 f"{source}: entry must be 'row col value', got {stripped!r}",
-                line_of(k))
+                number)
         try:
             r, c = int(tokens[0]), int(tokens[1])
-            float(tokens[2])
+            vals[k] = float(tokens[2])
         except ValueError as exc:
-            raise FixtureFormatError(f"{source}: {exc}", line_of(k)) from None
+            raise FixtureFormatError(f"{source}: {exc}", number) from None
         if not (1 <= r <= M and 1 <= c <= N):
             raise FixtureFormatError(
-                f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}",
-                line_of(k))
+                f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}", number)
+        rows[k], cols[k] = r - 1, c - 1
+    return rows, cols, vals
 
 
 def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:

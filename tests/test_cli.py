@@ -231,6 +231,24 @@ def test_convert_unrecognized_input(tmp_path, capsys):
                  str(tmp_path / "o.fx"), "--format", "fixture"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["convert", "--in", "{tmp}/tall.mtx", "--out", "{tmp}/o.fx",
+     "--format", "fixture"],
+    ["gen", "--rows", str(2**59), "--cols", "1", "--row-fill", "0",
+     "--out", "{tmp}/g.fx"],
+])
+def test_sizes_too_large_to_allocate_are_a_data_error(tmp_path, capsys, argv):
+    # 2**59 x 1 passes the importer's cell bound, but its 2**59 + 1 row
+    # pointers take 4 EiB (2**62 bytes), more than current 64-bit hardware
+    # can map for one process (at most 2**57 bytes), so the request is
+    # refused at once without committing memory
+    (tmp_path / "tall.mtx").write_text(
+        f"%%MatrixMarket matrix coordinate real general\n{2**59} 1 0\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

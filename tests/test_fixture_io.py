@@ -699,14 +699,17 @@ def read_mm_x_by_token(source, expected_n):
         raise FixtureValidationError(
             f"{source}: x has {n} entries but the matrix has {expected_n} "
             f"columns")
-    body = [stripped for stripped, _ in kept_lines(text, lineno + 1)]
+    body = kept_lines(text, lineno + 1)
     if len(body) != n:
         raise FixtureFormatError(
             f"{source}: expected {n} vector entries, got {len(body)}")
-    try:
-        return np.array([float(t) for t in body], dtype=np.float64)
-    except ValueError as exc:
-        raise FixtureFormatError(f"{source}: {exc}") from None
+    values = []
+    for stripped, number in body:
+        try:
+            values.append(float(stripped))
+        except ValueError as exc:
+            raise FixtureFormatError(f"{source}: {exc}", number) from None
+    return np.array(values, dtype=np.float64)
 
 
 REFERENCES = {"_parse_array": parse_array_by_token,
@@ -715,8 +718,8 @@ REFERENCES = {"_parse_array": parse_array_by_token,
               "_read_mm_x": read_mm_x_by_token}
 
 # integers at and just beyond int64's ends besides EDGE_TOKENS' own, one
-# past the seed matrix's 4 rows and 5 columns, and the separator
-# _mm_entries joins each block's lines with
+# past the seed matrix's 4 rows and 5 columns, and ";", which no reader
+# takes
 DIFF_TOKENS = st.sampled_from(EDGE_TOKENS + [
     str(2**63 - 1), str(-2**63), str(-2**63 - 1), str(-2**64), "inf",
     "5", "6", ";"])
@@ -743,14 +746,12 @@ def outcome(read, path):
         return type(exc), str(exc)
 
 
-def assert_same_outcome(read, path, block_lines=fixture_io._BLOCK_LINES,
-                        slice_chars=fixture_io._SLICE):
-    """read(path) with the module's parsers, in blocks of block_lines entry
-    lines and codec slices of slice_chars characters, gives what it gives
-    with the per-token references: the same arrays and metadata bit for
-    bit, or the same exception class and message."""
-    with mock.patch.multiple(fixture_io, _BLOCK_LINES=block_lines,
-                             _SLICE=slice_chars):
+def assert_same_outcome(read, path, slice_chars=fixture_io._SLICE):
+    """read(path) with the module's parsers, in codec slices of slice_chars
+    characters, gives what it gives with the per-token references: the same
+    arrays and metadata bit for bit, or the same exception class and
+    message."""
+    with mock.patch.object(fixture_io, "_SLICE", slice_chars):
         fast = outcome(read, path)
     with mock.patch.multiple(fixture_io, **REFERENCES):
         slow = outcome(read, path)
@@ -782,17 +783,13 @@ def test_read_fixture_equals_token_references(text, check, slice_chars):
 
 @DIFFERENTIAL
 @given(matrix=edge_documents("seed.mtx"), x=edge_documents("seed.x.mtx"),
-       block_lines=st.sampled_from([1, 2, 4, fixture_io._BLOCK_LINES]),
        slice_chars=SLICE_CHARS)
-def test_import_matrix_market_equals_line_references(matrix, x, block_lines,
-                                                      slice_chars):
-    # small blocks put a bad line in a later block than the first
+def test_import_matrix_market_equals_line_references(matrix, x, slice_chars):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.mtx"
         path.write_bytes(matrix.encode())
         companion_x_path(path).write_bytes(x.encode())
-        assert_same_outcome(import_matrix_market, path, block_lines,
-                            slice_chars)
+        assert_same_outcome(import_matrix_market, path, slice_chars)
 
 
 def mm_text(entries, *, comment_every=0):
@@ -814,6 +811,8 @@ def mm_text(entries, *, comment_every=0):
 BAD_ENTRIES = [("7 8", r"entry must be 'row col value', got '7 8'"),
                ("7 8 1.0 9", r"entry must be 'row col value', got '7 8 1.0 9'"),
                ("7 8 x", r"could not convert string to float: 'x'"),
+               # of two bad tokens in one line, the first is named
+               ("7 y x", r"invalid literal for int\(\) with base 10: 'y'"),
                *((f"{r} {c} 1.0", rf"entry \({r}, {c}\) outside 1\.\.100 x 1\.\.100")
                  for r, c in ((0, 7), (7, 0), (101, 7), (7, 101)))]
 
@@ -832,13 +831,13 @@ def test_mm_entry_error_names_physical_line(tmp_path, bad, message):
 @pytest.mark.parametrize("bad,message", BAD_ENTRIES)
 def test_mm_entry_error_in_later_block_names_physical_line(tmp_path, bad,
                                                            message):
-    n = 2 * fixture_io._BLOCK_LINES + 500
+    n = 4596
     entries = [f"{k // 100 + 1} {k % 100 + 1} {k}.5" for k in range(n)]
     text, numbers = mm_text(entries, comment_every=97)
     path = tmp_path / "good.mtx"
     path.write_text(text, encoding="utf-8")
     assert import_matrix_market(path).nnz == n
-    bad_at = 2 * fixture_io._BLOCK_LINES + 123
+    bad_at = 4219
     entries[bad_at] = bad
     text, numbers = mm_text(entries, comment_every=97)
     path = tmp_path / "bad.mtx"
@@ -859,6 +858,48 @@ def test_mm_error_names_physical_line_across_line_ends(tmp_path, end):
                        match="could not convert string to float") as exc:
         import_matrix_market(path)
     assert exc.value.line == numbers[2] == 9
+
+
+def test_mm_x_value_error_names_physical_line(tmp_path, ref):
+    export_matrix_market(ref, tmp_path / "ref.mtx")
+    x_path = companion_x_path(tmp_path / "ref.mtx")
+    lines = x_path.read_text().splitlines()
+    lines[2:2] = ["% first entry next", ""]
+    lines[7] = "x"
+    x_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FixtureFormatError) as exc:
+        import_matrix_market(tmp_path / "ref.mtx")
+    assert str(exc.value) == (f"line 8: {x_path}: could not convert string "
+                              f"to float: 'x'")
+
+
+def test_declined_text_at_scale_reads_as_the_exporters(tmp_path):
+    # values written %.16e and a % line every 1,000 entries are outside the
+    # codec's grammar, so more than 2**15 entries and every x entry go
+    # through the line-by-line fallback
+    fx = generate(GenParams(M=2000, N=1500, row_fill=64, seed=3))
+    assert fx.nnz > 2**15
+    export_matrix_market(fx, tmp_path / "ref.mtx")
+    for name in ("ref.mtx", "ref.x.mtx"):
+        head, size, *body = (tmp_path / name).read_text().splitlines()
+        lines = [head, size]
+        for k, line in enumerate(body):
+            if k % 1000 == 500:
+                lines.append(f"% entry {k}")
+            *index, value = line.split()
+            lines.append(" ".join(index + [f"{float(value):.16e}"]))
+        (tmp_path / name.replace("ref", "e")).write_text("\n".join(lines) + "\n")
+    with mock.patch.object(fixture_io, "_kept_lines",
+                           wraps=fixture_io._kept_lines) as spy:
+        want = import_matrix_market(tmp_path / "ref.mtx")
+        assert spy.call_count == 0
+        got = import_matrix_market(tmp_path / "e.mtx")
+        # a count and a conversion walk for the entries and for x
+        assert spy.call_count == 4
+    assert (got.M, got.N, got.metadata) == (want.M, want.N, want.metadata)
+    for name in ("row_ptr", "col_idx", "values", "x", "z"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
 
 def test_a_declared_length_past_the_text_is_a_format_error(tmp_path, ref):
