@@ -5,10 +5,10 @@ use and the per-rank pieces of a block-row distribution (columns stay
 global). spmv_seq adds all products into their rows with np.bincount, which
 sums in storage order from +0.0 like a row loop, one block of whole rows per
 call. The package checks it against spmv_sorted_oracle, an O(nnz) COO
-scatter-add in cell-key order over blocks of its own; tests check that
-oracle against the paper's dense brute-force one, spmv_dense_oracle over the
-plain (m, N) float64 array that dense_from_csr returns. All of them trust
-the input boundary's validate_csr (fixture_io.validate_fixture).
+scatter-add with row ids and blocks of its own; tests check that oracle
+against the paper's dense brute-force one, spmv_dense_oracle over the plain
+(m, N) float64 array that dense_from_csr returns. All of them trust the
+input boundary's validate_csr (fixture_io.validate_fixture).
 A solver multiplies once per iteration, a rank only its own rows, so small
 calls matter: per-call paths use ndarray methods and slices, not NumPy's
 Python-level np.diff, repeat, searchsorted, cumsum, nonzero, sort or argsort
@@ -112,7 +112,8 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     Checks: row pointer length, zero start, monotonicity, agreement of
     row_ptr[m] with the stored entry count, column indices within [0, N),
     local block placement within the global extents and, once all of those
-    hold, no cell stored twice, naming the lowest such (row, column).
+    hold, columns strictly increasing within each row, naming the first
+    entry in storage order that repeats or undercuts the column before it.
     """
     v: list[str] = []
     rp, cj, av = mat.row_ptr, mat.col_idx, mat.values
@@ -142,17 +143,19 @@ def validate_csr(mat: CsrMatrix) -> ValidationReport:
     if not (0 <= mat.cstart and mat.cstart + mat.n <= mat.N):
         v.append(f"column block [{mat.cstart}, {mat.cstart + mat.n}) outside [0, {mat.N})")
     if not v:
-        # sorted cell keys sit side by side exactly when repeated; a repeated
-        # cell lies in one row, so the first block to hold one holds the lowest
-        bounds = _oracle_blocks(rp)
-        for r0, r1 in zip(bounds[:-1], bounds[1:]):
-            keys = _row_ids(rp[r0:r1 + 1]) * mat.N + cj[rp[r0]:rp[r1]]
-            keys.sort()
-            repeats = (keys[1:] == keys[:-1]).nonzero()[0]
-            if len(repeats):
-                i, j = divmod(int(keys[repeats[0]]), mat.N)
-                v.append(f"duplicate cell {(r0 + i, j)} stored more than once")
-                break
+        # falls[p]: entry p's column is not above entry p - 1's, unless a
+        # row starts at p (row_ptr holds 0 and nnz, which clears both ends)
+        falls = np.empty(len(cj) + 1, dtype=bool)
+        np.less_equal(cj[1:], cj[:-1], out=falls[1:-1])
+        falls[rp] = False
+        first = falls.nonzero()[0]
+        if len(first):
+            p = int(first[0])
+            r = int(rp.searchsorted(p, side="right")) - 1
+            c, before = int(cj[p]), int(cj[p - 1])
+            v.append(f"duplicate cell {(r, c)} stored more than once"
+                     if c == before else
+                     f"row {r} stores column {c} after column {before}")
     return ValidationReport(ok=not v, violations=v)
 
 
@@ -162,20 +165,13 @@ def _row_ids(row_ptr: np.ndarray) -> np.ndarray:
         row_ptr[1:] - row_ptr[:-1])
 
 
-def _cell_order(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of the row-major cell keys rows * n + cols: the order
-    the sorted-entry oracle sums in and Matrix Market I/O stores entries in."""
-    return (rows * n + cols).argsort(kind="stable")
-
-
-# entries per block: spmv_seq's bincount calls, the oracle's np.add.at calls
-# and validate_csr's key sorts each take a block of whole rows holding at
-# most this many entries (a longer row is a block of its own); the kernel
-# cuts its blocks with code of its own. On the multiply-large matrix
-# (303,617 entries), one whole-matrix bincount call kept two nnz-sized
-# temporaries alive and made glibc trim and refault the heap top, with
-# hundreds of minor faults per call in a loop with run_distributed; blocks
-# of this size took 2 per operation.
+# entries per block: spmv_seq's bincount calls and the oracle's np.add.at
+# calls each take a block of whole rows holding at most this many entries
+# (a longer row is a block of its own); each cuts its blocks with code of
+# its own. On the multiply-large matrix (303,617 entries), one whole-matrix
+# bincount call kept two nnz-sized temporaries alive and made glibc trim
+# and refault the heap top, with hundreds of minor faults per call in a
+# loop with run_distributed; blocks of this size took 2 per operation.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -267,16 +263,15 @@ def spmv_dense_oracle(dense: np.ndarray, x: DenseVector) -> DenseVector:
 def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     """Sorted-entry product in O(nnz) time, the independent check for spmv_seq.
 
-    A COO scatter-add: np.add.at adds each product into its row in cell-key
-    (row * N + col) order, so each row is 0.0 + p0 + p1 + ... by ascending
-    column. For finite inputs that equals the dense oracle on dense_from_csr
-    bit for bit: a dense row's extra products are +-0.0, which never change a
-    sum begun at +0.0. It works through blocks of whole rows that hold at
-    most _BLOCK_ENTRIES entries or one longer row, so its temporaries fit in
-    one block; the cell order moves entries only within their row, so the
-    blocks change no sum. The kernel gathers in storage order instead, with
-    other code, another order and its own block loop. np.add.at's
-    index-order accumulation is undocumented;
+    A COO scatter-add: np.add.at adds each product into its row in storage
+    order, which validate_csr makes ascending-column order, so each row is
+    0.0 + p0 + p1 + ... by ascending column. For finite inputs that equals
+    the dense oracle on dense_from_csr bit for bit: a dense row's extra
+    products are +-0.0, which never change a sum begun at +0.0. It works
+    through blocks of whole rows that hold at most _BLOCK_ENTRIES entries or
+    one longer row, so its temporaries fit in one block. The kernel sums
+    with other code, row ids of its own (_row_ids) and its own block loop.
+    np.add.at's index-order accumulation is undocumented;
     test_sorted_oracle_output_is_pinned fails if it changes. Like spmv_seq,
     it needs a validated mat and x.n == mat.N.
     """
@@ -288,13 +283,12 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     with np.errstate(over="ignore", invalid="ignore"):
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
             p0, p1 = int(rp[r0]), int(rp[r1])
-            rows = _row_ids(rp[r0:r1 + 1])
-            order = _cell_order(rows, cj[p0:p1], mat.N)
-            prods = xv[cj[p0:p1][order]]
-            np.multiply(av[p0:p1][order], prods, out=prods)
-            # the cell order moves entries only within their row, so the
-            # storage-order row ids are the cell-order ones
-            del order
+            # entry p lies in the last row of the block that starts at or
+            # before it
+            rows = rp[r0:r1 + 1].searchsorted(np.arange(p0, p1), side="right")
+            rows -= 1
+            prods = xv[cj[p0:p1]]
+            np.multiply(av[p0:p1], prods, out=prods)
             np.add.at(out[r0:r1], rows, prods)
     return DenseVector(n=mat.m, N=mat.M, values=out)
 

@@ -15,12 +15,14 @@ The canonical format is line oriented and diffable:
 
 Every array line carries its own length so truncation is caught by the
 parser, not by downstream index errors. Floats are written with repr so a
-read of a write restores them bit for bit.
+read of a write restores them bit for bit. Within each row, colidx strictly
+increases, as in PETSc's AIJ format: the readers refuse a row that repeats
+a column or stores one after a higher one.
 
 Matrix Market export writes the matrix as a 1-based coordinate real general
-file in cell-key order, the order the sorted-entry oracle sums in, plus an
-array file for x next to it. Import accepts entries in any order; z is not
-in the format and is recomputed from the sorted-entry oracle on import.
+file in storage order, plus an array file for x next to it. Import accepts
+entries in any order and sorts them by row, then column; z is not in the
+format and is recomputed from the sorted-entry oracle on import.
 
 Both writers and both readers share one number codec, which works with
 NumPy on a whole array, or a bounded slice of one, as ASCII bytes.
@@ -51,8 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CsrMatrix, DenseVector, _cell_order, _row_ids,
-                   spmv_sorted_oracle, validate_csr)
+from .core import (CsrMatrix, DenseVector, _row_ids, spmv_sorted_oracle,
+                   validate_csr)
 from .fixtures import Fixture
 
 __all__ = ["FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
@@ -406,7 +408,7 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
 # -- Matrix Market ----------------------------------------------------------
 
 _MM_BANNER = "%%MatrixMarket"
-# core._cell_order's cell keys row * N + col are int64, and numpy refuses
+# the importer's cell keys row * N + col are int64, and numpy refuses
 # arrays of 2**63 bytes or more; below this bound neither the keys nor the
 # M + 1 eight-byte row pointers reach those limits
 _MAX_CELLS = 2**59
@@ -420,17 +422,15 @@ def companion_x_path(matrix_path) -> Path:
 def export_matrix_market(fixture: Fixture, dest) -> Path:
     """Write the matrix as coordinate real general plus an x array file.
 
-    Entries are 1-based and in cell-key order, by row and then column, for a
-    fixture that has passed validate_fixture, as the readers' output has; on
-    any other the line order is unspecified. Returns companion_x_path(dest),
-    where the x file went. z is not written; importers recompute it.
+    Entries are 1-based and in storage order, which for a fixture that has
+    passed validate_fixture, as the readers' output has, is by row and then
+    column. Returns companion_x_path(dest), where the x file went. z is not
+    written; importers recompute it.
     """
     dest = Path(dest)
     x_path = companion_x_path(dest)
-    rows = _row_ids(fixture.row_ptr)
-    order = _cell_order(rows, fixture.col_idx, fixture.N)
-    entries = _format([rows[order] + 1, fixture.col_idx[order] + 1,
-                       fixture.values[order]], "\n")
+    entries = _format([_row_ids(fixture.row_ptr) + 1, fixture.col_idx + 1,
+                       fixture.values], "\n")
     dest.write_text(f"{_MM_BANNER} matrix coordinate real general\n"
                     f"{fixture.M} {fixture.N} {fixture.nnz}\n" + entries,
                     encoding="utf-8")
@@ -593,7 +593,8 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
             f"{source}: {M} x {N} exceeds {_MAX_CELLS} cells", lineno)
     rows, cols, vals = _mm_entries(source, text, lineno, M, N, nnz)
     del text  # the arrays hold what the text held
-    order = _cell_order(rows, cols, N)
+    # by row, then column: the order validate_fixture holds rows to
+    order = (rows * N + cols).argsort(kind="stable")
     row_ptr = np.zeros(M + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=M), out=row_ptr[1:])
     metadata = {"source": "matrix-market"}

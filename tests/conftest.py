@@ -11,13 +11,16 @@ NON_INTEGER = st.floats(-1e3, 1e3, allow_nan=False).filter(
 
 
 @st.composite
-def csr_matrices(draw, unique_columns, values=NON_INTEGER):
-    """Small sequential matrices with unsorted columns within each row;
-    rows may be empty, and repeat a column unless unique_columns."""
+def csr_matrices(draw, canonical, values=NON_INTEGER):
+    """Small sequential matrices; rows may be empty. If canonical, each
+    row's columns strictly increase, as validate_csr requires; otherwise a
+    row may store its columns in any order and repeat one."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(0, 6))
-    cols = st.lists(st.integers(0, n - 1), unique=unique_columns,
-                    max_size=n if unique_columns else n + 2)
+    cols = st.lists(st.integers(0, n - 1), unique=canonical,
+                    max_size=n if canonical else n + 2)
+    if canonical:
+        cols = cols.map(sorted)
     rows = [draw(cols) for _ in range(m)]
     col_idx = [j for row in rows for j in row]
     values = draw(st.lists(values, min_size=len(col_idx),

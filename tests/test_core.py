@@ -39,10 +39,10 @@ FINITE = NON_INTEGER | st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def products(draw, unique_columns=True):
-    """A matrix, without duplicate cells if unique_columns, and an x of its
-    width, both drawn from FINITE."""
-    mat = draw(csr_matrices(unique_columns=unique_columns, values=FINITE))
+def products(draw, canonical=True):
+    """A matrix, with canonical rows if canonical, and an x of its width,
+    both drawn from FINITE."""
+    mat = draw(csr_matrices(canonical=canonical, values=FINITE))
     x = draw(st.lists(FINITE, min_size=mat.N, max_size=mat.N))
     return mat, DenseVector.sequential(x)
 
@@ -171,30 +171,40 @@ def test_validate_rejects_duplicate_cell():
     assert report.violations == ["duplicate cell (1, 0) stored more than once"]
 
 
+def unsorted_column_by_row_loop(mat):
+    """The first entry, in storage order, whose column is not above the one
+    before it in its row, worded as validate_csr words it, or no violation:
+    the reference validate_csr's last check must equal."""
+    rp, cj = mat.row_ptr.tolist(), mat.col_idx.tolist()
+    for i in range(mat.m):
+        for p in range(rp[i] + 1, rp[i + 1]):
+            if cj[p] == cj[p - 1]:
+                return [f"duplicate cell {(i, cj[p])} stored more than once"]
+            if cj[p] < cj[p - 1]:
+                return [f"row {i} stores column {cj[p]} after column "
+                        f"{cj[p - 1]}"]
+    return []
+
+
 @settings(max_examples=300, deadline=None)
-@given(mat=csr_matrices(unique_columns=False))
-def test_validate_flags_duplicates_like_a_set(mat):
-    pairs = [(i, int(j)) for i in range(mat.m)
-             for j in mat.col_idx[mat.row_ptr[i]:mat.row_ptr[i + 1]]]
-    seen, repeated = set(), set()
-    for pair in pairs:
-        (repeated if pair in seen else seen).add(pair)
+@given(mat=csr_matrices(canonical=False))
+# a repeat in row 1 after a decrease in row 0: storage order names row 0
+@example(mat=CsrMatrix.sequential([0, 2, 4], [1, 0, 2, 2], [0.5] * 4, n=3))
+# leading and trailing empty rows around a row that repeats column 0
+@example(mat=CsrMatrix.sequential([0, 0, 2, 2], [0, 0], [0.5] * 2, n=1))
+# equal columns on either side of a row start are no violation
+@example(mat=CsrMatrix.sequential([0, 1, 1, 2], [1, 1], [0.5] * 2, n=2))
+def test_validate_flags_first_unsorted_column_like_a_row_loop(mat):
+    # arbitrary rows: repeats and any order
+    reference = unsorted_column_by_row_loop(mat)
     report = validate_csr(mat)
-    assert report.ok == (not repeated)
-    assert report.violations == ([f"duplicate cell {min(repeated)} stored "
-                                  f"more than once"] if repeated else [])
-
-
-def test_validate_flags_duplicates_like_a_set_across_blocks(monkeypatch):
-    # blocks of at most 3 entries: the lowest repeated cell can lie in any
-    # block, and every longer row is a block of its own
-    monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", 3)
-    test_validate_flags_duplicates_like_a_set()
+    assert report.ok == (not reference)
+    assert report.violations == reference
 
 
 @settings(max_examples=300, deadline=None)
-@given(mat=csr_matrices(unique_columns=True))
-@example(mat=CsrMatrix.sequential([0, 0, 2, 2], [3, 1], [0.5, -2.25], n=4))
+@given(mat=csr_matrices(canonical=True))
+@example(mat=CsrMatrix.sequential([0, 0, 2, 2], [1, 3], [-2.25, 0.5], n=4))
 @example(mat=CsrMatrix.sequential([0], [], [], n=3))
 def test_dense_from_csr_equals_entry_loop(mat):
     dense = dense_from_csr(mat)
@@ -257,14 +267,13 @@ def test_spmv_accumulates_left_to_right():
 
 @st.composite
 def skewed_products(draw):
-    """Many empty or 1 to 4 entry rows plus one full-width row in shuffled
-    column order, with non-integer values and x."""
+    """Many empty or 1 to 4 entry rows plus one full-width row, all of them
+    canonical, with non-integer values and x."""
     n = draw(st.integers(5, 24))
     m = draw(st.integers(1, 24))
     full = draw(st.integers(0, m - 1))
-    short = st.lists(st.integers(0, n - 1), unique=True, max_size=4)
-    rows = [draw(st.permutations(range(n))) if i == full else draw(short)
-            for i in range(m)]
+    short = st.lists(st.integers(0, n - 1), unique=True, max_size=4).map(sorted)
+    rows = [list(range(n)) if i == full else draw(short) for i in range(m)]
     col_idx = [j for row in rows for j in row]
     values = draw(st.lists(NON_INTEGER, min_size=len(col_idx),
                            max_size=len(col_idx)))
@@ -278,7 +287,7 @@ ROWS = 32
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=products(unique_columns=False) | skewed_products())
+@given(case=products(canonical=False) | skewed_products())
 # a zero-row matrix
 @example(case=(CsrMatrix.sequential([0], [], [], n=3),
                DenseVector.sequential([0.5, -1.5, 2.5])))
@@ -408,17 +417,17 @@ def test_dense_from_csr_layout():
 @settings(max_examples=300, deadline=None)
 @given(case=products())
 # empty rows
-@example(case=(CsrMatrix.sequential([0, 0, 2, 2], [3, 1], [0.5, -2.25], n=4),
+@example(case=(CsrMatrix.sequential([0, 0, 2, 2], [1, 3], [-2.25, 0.5], n=4),
                DenseVector.sequential([-1.5, 0.25, 2.5, -0.75])))
 # a zero-row matrix
 @example(case=(CsrMatrix.sequential([0], [], [], n=3),
                DenseVector.sequential([0.5, -1.5, 2.5])))
-# explicit zeros against negative x: every product is -0.0
-@example(case=(CsrMatrix.sequential([0, 2, 3], [2, 0, 1], [0.0, 0.0, -0.0], n=3),
+# explicit zeros against x of both signs: products of both signed zeros
+@example(case=(CsrMatrix.sequential([0, 2, 3], [0, 2, 1], [0.0, 0.0, -0.0], n=3),
                DenseVector.sequential([-1.5, -2.5, 0.5])))
 # products that overflow to +inf and -inf, and inf + -inf = nan in row 2
-@example(case=(CsrMatrix.sequential([0, 1, 2, 4], [0, 1, 1, 0],
-                                    [1e300, -1e300, 1e300, -3e300], n=2),
+@example(case=(CsrMatrix.sequential([0, 1, 2, 4], [0, 1, 0, 1],
+                                    [1e300, -1e300, -3e300, 1e300], n=2),
                DenseVector.sequential([1e10, 1e300])))
 def test_sorted_oracle_equals_dense_oracle(case):
     mat, x = case
@@ -428,11 +437,11 @@ def test_sorted_oracle_equals_dense_oracle(case):
 
 
 def order_sensitive_row(n, seed):
-    """One row of n entries in shuffled column order, with values whose sum
-    depends on the order they are added in."""
+    """One full canonical row of n entries, with values whose sum depends
+    on the order they are added in."""
     rng = np.random.default_rng(seed)
     values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-    return (CsrMatrix.sequential([0, n], rng.permutation(n), values, n=n),
+    return (CsrMatrix.sequential([0, n], np.arange(n), values, n=n),
             DenseVector.sequential(rng.normal(size=n)))
 
 
@@ -446,14 +455,14 @@ def order_sensitive_row(n, seed):
                DenseVector.sequential([0.5, -1.5])))
 # +-0.0 against negative x: row 1's lone product is -0.0, which 0.0 + -0.0
 # turns into 0.0
-@example(case=(CsrMatrix.sequential([0, 2, 3], [2, 0, 1], [0.0, -0.0, 0.0], n=3),
+@example(case=(CsrMatrix.sequential([0, 2, 3], [0, 2, 1], [-0.0, 0.0, 0.0], n=3),
                DenseVector.sequential([-1.5, -2.5, 0.5])))
 # products that overflow to +inf and -inf, and inf + -inf = nan, in one row
-@example(case=(CsrMatrix.sequential([0, 1, 2, 4], [0, 1, 1, 0],
-                                    [1e300, -1e300, 1e300, -3e300], n=2),
+@example(case=(CsrMatrix.sequential([0, 1, 2, 4], [0, 1, 0, 1],
+                                    [1e300, -1e300, -3e300, 1e300], n=2),
                DenseVector.sequential([1e10, 1e300])))
-# 1e16, 1.0, -1e16 by ascending column, stored with the columns reversed
-@example(case=(CsrMatrix.sequential([0, 3], [2, 1, 0], [-1e16, 1.0, 1e16], n=3),
+# 1e16, 1.0, -1e16 by ascending column: added in order the 1.0 is lost
+@example(case=(CsrMatrix.sequential([0, 3], [0, 1, 2], [1e16, 1.0, -1e16], n=3),
                DenseVector.sequential([1.0, 1.0, 1.0])))
 # one row longer than the 8192-element buffer np.add.at works through
 @example(case=order_sensitive_row(10_000, seed=3))
@@ -489,9 +498,9 @@ def test_oracle_blocks_hold_whole_rows_within_the_bound(monkeypatch, block):
 
 
 def test_oracle_blocks_are_one_block_up_to_the_bound():
-    # validate_csr and the oracle cut every matrix with these bounds, so at
-    # the real block size a matrix of at most one block's entries is one
-    # block, trailing empty rows and nnz = 0 included
+    # the oracle cuts every matrix with these bounds, so at the real block
+    # size a matrix of at most one block's entries is one block, trailing
+    # empty rows and nnz = 0 included
     block = spmvsim.core._BLOCK_ENTRIES
     assert spmvsim.core._oracle_blocks(np.array([0], dtype=np.int64)) == [0]
     for lengths in ([0], [0, 0, 0], [1], [3, 0, 2], [block], [block, 0, 0],
@@ -522,9 +531,9 @@ def row_ids_by_loop(row_ptr):
 @example(lengths=[0, 0, 0], base=0)
 @example(lengths=[2, spmvsim.core._BLOCK_ENTRIES + 1, 0, 1], base=3)
 def test_row_ids_equal_loop(lengths, base):
-    # the kernel, the oracle and validate_csr all take their row ids from
-    # this helper, so a kernel-against-oracle check cannot catch its faults;
-    # a nonzero base is a block's slice of a longer row pointer
+    # the kernel, dense_from_csr and the Matrix Market exporter take their
+    # row ids from this helper (the oracle has its own); a nonzero base is
+    # a block's slice of a longer row pointer
     row_ptr = np.array(list(itertools.accumulate(lengths, initial=base)),
                        dtype=np.int64)
     rows = spmvsim.core._row_ids(row_ptr)
@@ -559,10 +568,16 @@ def test_per_call_paths_use_no_numpy_wrappers(monkeypatch, ref, block):
     # 36 columns: two ranks gather with allgather, five with allgatherv
     for size, mode in ((2, "parallel"), (5, "serial")):
         assert run_distributed(ref, size, mode=mode).residual_sq == 0.0
-    # rows 3 and 20 each store a cell twice; the lowest is named
-    mat.col_idx[[5, 26]] = mat.col_idx[[2, 23]]
+    # an adjacent repeat in row 3 and a decrease in row 20: the first in
+    # storage order is named, then, with row 3 mended, the second
+    row3 = mat.col_idx[2:6].copy()
+    mat.col_idx[3] = mat.col_idx[2]
+    mat.col_idx[[23, 24]] = mat.col_idx[[24, 23]]
     assert validate_csr(mat).violations == [
         "duplicate cell (3, 1) stored more than once"]
+    mat.col_idx[2:6] = row3
+    assert validate_csr(mat).violations == [
+        "row 20 stores column 3 after column 28"]
 
 
 def test_sorted_oracle_temporaries_fit_in_one_block():

@@ -210,9 +210,8 @@ def with_oracle_z(fx):
     return fx
 
 
-def non_integer_reference():
-    """The reference structure with non-integer values and x."""
-    fx = reference_fixture()
+def non_integer(fx):
+    """fx's structure with non-integer values and x."""
     fx.values = fx.values * 0.1 + 1 / 3
     fx.x = fx.x / 7
     return with_oracle_z(fx)
@@ -231,10 +230,10 @@ def splits(draw, total, size):
 
 @st.composite
 def distributed_cases(draw):
-    """A fixture with non-integer values and columns in any order within a
-    row, a rank count, and row and column splits."""
+    """A fixture with canonical rows and non-integer values, a list of one
+    rank count, and row and column splits."""
     m, n = draw(st.integers(0, 10)), draw(st.integers(1, 10))
-    rows = [draw(st.lists(st.integers(0, n - 1), unique=True))
+    rows = [draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted))
             for _ in range(m)]
     col_idx = [j for row in rows for j in row]
     fx = with_oracle_z(Fixture(
@@ -244,31 +243,36 @@ def distributed_cases(draw):
                              max_size=len(col_idx))),
         x=draw(st.lists(NON_INTEGER, min_size=n, max_size=n)), z=[]))
     size = draw(st.integers(1, 8))
-    return fx, size, draw(splits(m, size)), draw(splits(n, size))
+    return fx, [size], draw(splits(m, size)), draw(splits(n, size))
 
 
 # rank counts stay within MAX_RANKS: a test never starts more threads
 @settings(max_examples=80, deadline=None)
 @given(case=distributed_cases())
-@example(case=(non_integer_reference(), MAX_RANKS, None, None))
-@example(case=(non_integer_reference(), MAX_RANKS,
+@example(case=(non_integer(reference_fixture()), [MAX_RANKS], None, None))
+@example(case=(non_integer(reference_fixture()), [MAX_RANKS],
                [0] * (MAX_RANKS - 1) + [32], [36] + [0] * (MAX_RANKS - 1)))
+# the fixture-pipeline benchmark's 700 x 700 shape at K = 1..8
+@example(case=(non_integer(generate(GenParams(M=700, N=700, target_nnz=4900,
+                                              seed=100001))),
+               list(range(1, 9)), None, None))
 def test_distributed_run_equals_sequential(case):
-    fx, size, row_sizes, col_sizes = case
+    fx, sizes, row_sizes, col_sizes = case
     seq = spmv_seq(fx.matrix(), fx.x_vector()).values
-    runs = []
+    for size in sizes:
+        runs = [run_distributed(fx, size, row_sizes, col_sizes, mode=mode)
+                for mode in ("parallel", "serial")]
+        for run in runs:
+            assert np.concatenate(run.per_rank_y).tobytes() == seq.tobytes()
+        parallel, serial = runs
+        assert parallel.residual_sq.hex() == serial.residual_sq.hex()
+        assert parallel.trace.dump() == serial.trace.dump()
+    # on canonical rows the kernel and the oracle sum in one order, so
+    # every section passes, the sequential one included
     for mode in ("parallel", "serial"):
-        run = run_distributed(fx, size, row_sizes, col_sizes, mode=mode)
-        assert np.concatenate(run.per_rank_y).tobytes() == seq.tobytes()
-        # the distributed section only: the kernel sums unsorted columns in
-        # storage order, so its bits may differ from the sorted oracle's
-        _, (_, dist) = verify_fixture(fx, [size], row_sizes, col_sizes,
-                                      mode=mode)
-        assert dist.overall, dist.as_text()
-        runs.append(run)
-    parallel, serial = runs
-    assert parallel.residual_sq.hex() == serial.residual_sq.hex()
-    assert parallel.trace.dump() == serial.trace.dump()
+        for name, report in verify_fixture(fx, sizes, row_sizes, col_sizes,
+                                           mode=mode):
+            assert report.overall, (name, report.as_text())
 
 
 def order_sensitive_fixture():

@@ -570,9 +570,9 @@ def import_by_triple_sort(source):
 
 @st.composite
 def valid_fixtures(draw):
-    """Valid fixtures with unsorted columns, empty rows and non-integer
+    """Valid fixtures with canonical rows, empty rows and non-integer
     values and x."""
-    mat = draw(csr_matrices(unique_columns=True).filter(lambda m: m.m >= 1))
+    mat = draw(csr_matrices(canonical=True).filter(lambda m: m.m >= 1))
     x = draw(st.lists(NON_INTEGER, min_size=mat.N, max_size=mat.N))
     fx = Fixture(M=mat.M, N=mat.N, row_ptr=mat.row_ptr, col_idx=mat.col_idx,
                  values=mat.values, x=x, z=np.zeros(mat.M))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spmvsim.collectives
+import spmvsim.core
 import spmvsim.distributed
 import spmvsim.layout
 import spmvsim.verify
@@ -19,6 +20,7 @@ from spmvsim import (
     CollectiveMismatch,
     DenseVector,
     Fixture,
+    FixtureValidationError,
     GenParams,
     RankContext,
     build_layout,
@@ -32,6 +34,7 @@ from spmvsim import (
     spmv_seq,
     spmv_sorted_oracle,
     validate_csr,
+    validate_fixture,
     verify_fixture,
     verify_sequential,
     write_fixture,
@@ -216,21 +219,34 @@ def test_sequential_trivial_instance():
     assert verify_sequential(fx).overall
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "spmv_seq sums a row in storage order and the oracle by ascending "
-    "column, while the readers accept unsorted columns"))
-def test_verify_agrees_with_run_on_unsorted_columns(tmp_path):
-    # 0.1 + 0.2 + 0.3 rounds apart from 0.2 + 0.3 + 0.1. Today run passes
-    # and verify fails kernel-matches-oracle. Making the readers refuse
-    # unsorted columns, or the verifier accept them, ends the disagreement
-    # and this mark must then go.
+def test_verify_agrees_with_run_on_unsorted_columns(tmp_path, capsys):
+    # one row that stores columns 2, 0, 1, with the z the kernel gives it:
+    # only the canonical-row rule tells this file apart from a valid one,
+    # and every reader and command refuses it by that rule
     fx = Fixture(M=1, N=3, row_ptr=[0, 3], col_idx=[2, 0, 1],
                  values=[0.1, 0.2, 0.3], x=[1.0, 1.0, 1.0], z=[0.0])
-    fx.z = spmv_sorted_oracle(fx.matrix(), fx.x_vector()).values
+    fx.z = spmv_seq(fx.matrix(), fx.x_vector()).values
     path = str(tmp_path / "unsorted.fx")
     write_fixture(fx, path)
-    assert main(["verify", "--fixture", path]) == main(
-        ["run", "--fixture", path])
+    message = "row 0 stores column 0 after column 2"
+    with pytest.raises(FixtureValidationError, match=message):
+        read_fixture(path)
+    with pytest.raises(FixtureValidationError, match=message):
+        validate_fixture(fx)
+    for command in ("run", "verify"):
+        assert main([command, "--fixture", path]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_oracle_takes_no_row_ids_from_the_kernel(monkeypatch, ref):
+    # a kernel whose row ids are a wrong bijection must fail
+    # kernel-matches-oracle: an oracle that shared them would agree with it
+    row_ids = spmvsim.core._row_ids
+    monkeypatch.setattr(spmvsim.core, "_row_ids",
+                        lambda row_ptr: row_ids(row_ptr)[::-1])
+    [(_, seq)] = verify_fixture(ref)
+    failed = [c.name for c in seq.checks if not c.passed]
+    assert "kernel-matches-oracle" in failed, seq.as_text()
 
 
 def test_distributed_reference_passes(ref):
@@ -576,10 +592,10 @@ def test_seeded_fault_fails_its_check(monkeypatch, fault, size, failing):
 
 @st.composite
 def verify_cases(draw):
-    """A small fixture with non-integer values and x, which may store a cell
-    twice (and so fail input-valid) and whose z may be off in one entry,
-    with a list of rank counts in 1..8 that may repeat one."""
-    mat = draw(csr_matrices(unique_columns=draw(st.booleans())))
+    """A small fixture with non-integer values and x, whose rows may break
+    the canonical-row rule (and so fail input-valid) and whose z may be off
+    in one entry, with a list of rank counts in 1..8 that may repeat one."""
+    mat = draw(csr_matrices(canonical=draw(st.booleans())))
     x = draw(st.lists(NON_INTEGER, min_size=mat.N, max_size=mat.N))
     z = spmv_sorted_oracle(mat, DenseVector.sequential(x)).values
     if mat.m and draw(st.booleans()):
