@@ -1,13 +1,15 @@
 """Deterministic in-process simulation of message-passing collectives.
 
-K logical ranks run the same program, each on its own thread. A collective
-call deposits the rank's contribution and blocks until every rank has
-contributed to the same generation; results are then computed once, in
-ascending rank order, so the outcome is a pure function of the contributions
-and never of thread scheduling. Waiters wake only on what can end a wait: a
-generation ending (complete, mismatched or deserted), the serial baton moving,
-a rank returning, or an abort; a deposit that leaves its generation open wakes
-nobody, so in parallel mode a collective wakes each waiter once.
+K logical ranks run the same program, each on a thread of its own while the
+run lasts; between runs those daemon threads park in a module-private pool (at
+most MAX_RANKS of them) and serve the next run. A collective call deposits the
+rank's contribution and blocks until every rank has contributed to the same
+generation; results are then computed once, in ascending rank order, so the
+outcome is a pure function of the contributions and never of thread
+scheduling. Waiters wake only on what can end a wait: a generation ending
+(complete, mismatched or deserted), the serial baton moving, a rank returning,
+or an abort; a deposit that leaves its generation open wakes nobody, so in
+parallel mode a collective wakes each waiter once.
 
 Two execution modes produce bitwise identical results:
 
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,8 +50,48 @@ __all__ = [
 ]
 
 
-# each simulated rank is an OS thread; engines refuse more before starting any
+# each simulated rank runs on an OS thread, and at most this many threads stay
+# parked between runs; engines refuse more ranks before starting any
 MAX_RANKS = 64
+
+# parked rank threads as (wake, slot) pairs: a parked thread blocks on its held
+# wake lock until run() puts a job in slot and releases the lock
+_parked: list[tuple[threading.Lock, list]] = []
+_parked_lock = threading.Lock()
+
+
+def _renew_pool() -> None:
+    # a forked child has none of the parked threads, and the lock may be held
+    global _parked_lock
+    _parked.clear()
+    _parked_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_pool)
+
+
+def _serve(wake: threading.Lock, slot: list) -> None:
+    """A pool thread: run the job handed over in slot, park, and repeat."""
+    me, park = threading.current_thread(), True
+    while park:
+        wake.acquire()
+        engine, rank, *job = slot.pop()
+        me.name = f"sim-rank-{rank}"
+        if not engine._worker(rank, *job):
+            return  # abandoned by a run that timed out
+        me.name = "sim-rank-parked"
+        del job  # a parked thread keeps nothing of the finished run
+        with _parked_lock:
+            park = len(_parked) < MAX_RANKS
+            if park:
+                _parked.append((wake, slot))
+            engine._unparked -= 1
+            last = engine._unparked == 0
+        # report done only once parked, so the next run finds this thread
+        if last:
+            engine._all_parked.release()
+        del engine
 
 
 def exclusive_prefix_sums(values) -> list:
@@ -178,6 +220,9 @@ class CollectiveEngine:
             raise ValueError(f"size must be in 1..{MAX_RANKS}, got {size}")
         if mode not in ("parallel", "serial"):
             raise ValueError(f"mode must be 'parallel' or 'serial', got {mode!r}")
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be above 0 and at most "
+                             f"{threading.TIMEOUT_MAX}s, got {timeout!r}")
         self.size = size
         self.mode = mode
         self.timeout = timeout
@@ -189,7 +234,12 @@ class CollectiveEngine:
         self._finished = [False] * size
         self._turn = 0 if mode == "serial" else None
         self._abort: tuple[type[BaseException], str] | None = None
+        self._abandoned = False
         self._ran = False
+        # released by the last rank thread to park again after run()
+        self._unparked = size
+        self._all_parked = threading.Lock()
+        self._all_parked.acquire()
 
     # -- thread lifecycle ---------------------------------------------------
 
@@ -197,37 +247,40 @@ class CollectiveEngine:
         """Execute program(ctx) on every rank; results in rank order.
 
         If any rank raises, the exception of the lowest-numbered failing
-        rank is re-raised here after all threads have stopped. A run still
-        going after timeout seconds is aborted and raises CollectiveError
-        at most one more timeout later, even if a rank never stops.
+        rank is re-raised here after every rank's thread has parked again. A
+        run still going after timeout seconds is aborted and raises
+        CollectiveError at most one more timeout later, even if a rank never
+        stops.
         """
         if self._ran:
             raise RuntimeError("engine already ran; build a new one per run")
         self._ran = True
         results: list = [None] * self.size
         failures: list = [None] * self.size
-        threads = [
-            threading.Thread(
-                target=self._worker, args=(r, program, results, failures),
-                name=f"sim-rank-{r}", daemon=True)
-            for r in range(self.size)
-        ]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + self.timeout
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        if any(t.is_alive() for t in threads):
+        with _parked_lock:
+            idle = _parked[-self.size:]
+            del _parked[-self.size:]
+        for rank in range(self.size):
+            job = (self, rank, program, results, failures)
+            if idle:
+                wake, slot = idle.pop()
+                slot.append(job)
+                wake.release()
+            else:
+                threading.Thread(target=_serve, args=(threading.Lock(), [job]),
+                                 daemon=True).start()
+        if not self._all_parked.acquire(timeout=self.timeout):
             with self._cond:
                 self._abort = (CollectiveError,
                                f"simulation timed out after {self.timeout}s")
                 self._cond.notify_all()
             # a rank stuck outside any collective never sees the abort; give
-            # up on it after one more timeout and leave its daemon thread
-            deadline = time.monotonic() + self.timeout
-            for t in threads:
-                t.join(max(0.0, deadline - time.monotonic()))
-            stuck = [r for r, t in enumerate(threads) if t.is_alive()]
+            # up on it after one more timeout and abandon its daemon thread,
+            # which exits instead of parking once its program returns
+            stopped = self._all_parked.acquire(timeout=self.timeout)
+            with self._cond:
+                self._abandoned = not stopped
+                stuck = [r for r, done in enumerate(self._finished) if not done]
             detail = f"; rank(s) {stuck} did not stop" if stuck else ""
             raise CollectiveError(
                 f"simulation timed out after {self.timeout}s{detail}")
@@ -253,15 +306,15 @@ class CollectiveEngine:
             candidates.sort(key=lambda t: (t[0], t[1]))
             raise candidates[0][2]
 
-    def _worker(self, rank: int, program, results: list, failures: list) -> None:
+    def _worker(self, rank: int, program, results: list, failures: list) -> bool:
+        """Run one rank; False if the run has abandoned this rank's thread."""
         ctx = RankContext(rank=rank, size=self.size, _engine=self)
         try:
             self._await_turn(rank)
             results[rank] = program(ctx)
-        except BaseException as exc:
+        except BaseException as exc:  # handed to run(), which re-raises it
             failures[rank] = exc
-        finally:
-            self._finish_rank(rank)
+        return self._finish_rank(rank)
 
     def _await_turn(self, rank: int) -> None:
         if self.mode != "serial":
@@ -271,7 +324,7 @@ class CollectiveEngine:
                 self._cond.wait()
             self._check_abort()
 
-    def _finish_rank(self, rank: int) -> None:
+    def _finish_rank(self, rank: int) -> bool:
         with self._cond:
             self._finished[rank] = True
             if self.mode == "serial" and self._turn == rank:
@@ -279,6 +332,7 @@ class CollectiveEngine:
             for seq, gen in self._generations.items():
                 self._fail_if_deserted(seq, gen)
             self._cond.notify_all()
+            return not self._abandoned
 
     def _fail_if_deserted(self, seq: int, gen: _Generation) -> None:
         # under self._cond; a generation whose missing ranks have all

@@ -1,13 +1,21 @@
 """Rendezvous semantics, determinism, misuse detection, and tracing."""
 
+import gc
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+import warnings
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spmvsim
 from spmvsim import (
     MAX_RANKS,
     CollectiveEngine,
@@ -324,6 +332,10 @@ def test_engine_argument_checks():
     started = []
     with pytest.raises(ValueError, match=f"1..{MAX_RANKS}"):
         run_ranks(MAX_RANKS + 1, started.append)
+    # a timeout that is not a finite number above 0 is refused at construction
+    for timeout in (float("inf"), -1.0, float("nan")):
+        with pytest.raises(ValueError, match="timeout must be above 0"):
+            CollectiveEngine(2, timeout=timeout).run(started.append)
     assert started == []
 
 
@@ -377,3 +389,123 @@ def test_stuck_rank_cannot_hang_the_abort():
             assert t.daemon
             t.join(5.0)
             assert not t.is_alive()
+
+
+def test_parked_threads_keep_nothing_of_a_finished_run():
+    def program_over(payload):
+        return lambda ctx: ctx.allreduce_sum(payload[0])
+
+    payload = np.ones(1000)
+    alive = weakref.ref(payload)
+    program = program_over(payload)
+    del payload  # now reachable only through the program's closure
+    assert run_ranks(2, program) == [2.0, 2.0]
+    del program
+    gc.collect()
+    assert alive() is None
+
+
+def test_back_to_back_runs_reuse_parked_threads():
+    # every run finds the threads of the run before it parked again
+    seen = {thread for _ in range(100)
+            for thread in run_ranks(2, lambda ctx: threading.current_thread())}
+    assert len(seen) == 2
+    # a running rank thread carries its rank's name; a parked one does not
+    names = run_ranks(3, lambda ctx: threading.current_thread().name)
+    assert names == ["sim-rank-0", "sim-rank-1", "sim-rank-2"]
+    assert not any(t.name in names for t in threading.enumerate())
+
+
+def test_pool_parks_at_most_the_threads_a_run_needed():
+    # a fresh interpreter, so the runs of other tests leave no parked threads
+    script = textwrap.dedent("""
+        import threading
+        import time
+        from spmvsim import MAX_RANKS, collectives, run_ranks
+
+        run_ranks(8, lambda ctx: ctx.allreduce_sum(1.0))
+        run_ranks(2, lambda ctx: ctx.allreduce_sum(1.0))
+        assert len(collectives._parked) == 8, collectives._parked
+        assert threading.active_count() == 1 + 8
+
+        # two overlapping runs need 2 * MAX_RANKS threads; the ones beyond
+        # MAX_RANKS exit instead of parking
+        barrier = threading.Barrier(2 * MAX_RANKS, timeout=20)
+        callers = [threading.Thread(
+            target=run_ranks, args=(MAX_RANKS, lambda ctx: barrier.wait()))
+            for _ in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(30)
+            assert not t.is_alive()
+        assert len(collectives._parked) == MAX_RANKS
+        deadline = time.monotonic() + 10
+        while (threading.active_count() > 1 + MAX_RANKS
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() == 1 + MAX_RANKS
+        """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(spmvsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_concurrent_callers_share_the_pool():
+    expected = run_ranks(4, _jittery, mode="serial")
+    outcomes = [[], []]
+
+    def caller(out):
+        for _ in range(50):
+            try:
+                out.append(run_ranks(4, _jittery))
+            except Exception as exc:  # reported by the assertion below
+                out.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(out,))
+                   for out in outcomes]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [[expected] * 50] * 2
+
+
+def test_interrupt_in_a_rank_reaches_the_caller_and_the_pool_survives():
+    def program(ctx):
+        if ctx.rank == 1:
+            raise KeyboardInterrupt("rank 1 interrupted")
+        return ctx.allreduce_sum(1.0)
+
+    with pytest.raises(KeyboardInterrupt, match="rank 1 interrupted"):
+        run_ranks(2, program)
+    assert CollectiveEngine(2, timeout=5).run(
+        lambda ctx: ctx.allreduce_sum(1.0)) == [2.0, 2.0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_ranks_without_the_parents_parked_threads():
+    run_ranks(2, lambda ctx: ctx.allreduce_sum(1.0))
+    with warnings.catch_warnings():
+        # Python 3.12 warns about forking a process that has threads
+        warnings.filterwarnings("ignore", category=DeprecationWarning,
+                                message=".*fork")
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            engine = CollectiveEngine(2, timeout=2)
+            if engine.run(lambda ctx: ctx.allreduce_sum(1.0)) == [2.0, 2.0]:
+                status = 0
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
