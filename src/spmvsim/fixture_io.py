@@ -30,25 +30,25 @@ NumPy on a whole array, or a bounded slice of one, as ASCII bytes.
    with |v| < 2**53, as decimal digits, plus ".0" for a float and a "-"
    wherever the sign bit is set: repr's own spelling of those values, -0.0
    included. Any other slice is spelled by repr.
- - It reads an integer token of the form -?[0-9]{1,18} as its digits, and a
-   float token of the form -?[0-9]+([.][0-9]+)? with at most 15 digits as
-   float(D) / 10.0**k, where D is the token's digits and k the number after
-   the point, and then applies the sign. D and 10**k (k <= 14) are exact in
-   float64, so the one division rounds once, to the value float() gives
-   (Clinger's fast path). Tokens are separated by single spaces, and
-   Matrix Market text must also have the exporter's shape: lines of
-   "row col value" or of one x entry, each ended by a line feed.
+ - It reads an integer token of the form -?[0-9]{1,18} as its digits, and
+   a float token of that form, optionally ending ".0", with magnitude below
+   2**53, as its digits cast to float64 (exact), signed last so "-0.0"
+   reads as -0.0. Tokens are separated by single spaces, and Matrix Market
+   text must also have the exporter's shape: lines of "row col value" or of
+   one x entry, each ended by a line feed.
 Files are read as UTF-8 text, which turns CRLF and CR line ends into line
 feeds. A slice holding any token or line outside that grammar goes, with
 the rest of its array or file, through Python's int() and float() a token
-at a time, so "1_0" still reads as 10, "1e5" and "+3" still parse, and
-every error reads as before. Of several bad tokens or lines the first in
-file order is reported, with the number of the line that holds it.
+at a time, so "0.5" and "1e5" still parse, "1_0" still reads as 10, and
+every error reads as before; Matrix Market text in one walk that checks the
+line count before any conversion. Of several bad tokens or lines the first
+in file order is reported, with the number of the line that holds it.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -138,8 +138,6 @@ def _int64(token: str) -> int:
 # text characters one parse slice holds and entries one format slice holds,
 # so the codec's temporaries stay within a few MB for any size of file
 _SLICE = 1 << 16
-# 10.0**k for k = 0..14, each exact in float64
-_EXACT_POW10 = np.array([float(10**k) for k in range(15)])
 
 
 def _format(columns: list[np.ndarray], end: str) -> str:
@@ -249,40 +247,33 @@ def _decode(b: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     neg = b[starts] == ord("-")
     first = starts + neg
     width = ends - first
+    if width.min() < 1:
+        return None
+    if dtype != np.int64:
+        # a float's ".0" is dropped where a digit comes before it
+        point = ((width > 2) & (b[ends - 2] == ord("."))
+                 & (b[ends - 1] == ord("0")))
+        ends, width = ends - 2 * point, width - 2 * point
     w = int(width.max())
-    # 18 digits, or 15 digits and a point
-    if width.min() < 1 or w > (18 if dtype == np.int64 else 16):
+    if w > 18:
         return None
     # row j holds each token's j-th of w places before its end: digits 0..9,
     # and zeros before the token; tokens run along rows for NumPy's loops
     at = ends + np.arange(-w, 0)[:, None]
     digits = b[at] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
     np.multiply(digits, at >= first, out=digits)
-    if dtype != np.int64:
-        point = digits == (ord(".") - ord("0")) % 256
-        digits[point] = 0
     if (digits > 9).any():
         return None
     value = np.zeros(len(ends), dtype=np.int64)
-    for place in digits:  # a point reads as a 0 digit
+    for place in digits:
         value *= 10
         value += place
     if dtype == np.int64:
         return np.negative(value, out=value, where=neg)
-    # k digits after the point; with two points count_nonzero tells
-    has_point = np.zeros(len(ends), dtype=bool)
-    k = np.zeros(len(ends), dtype=np.int64)
-    for at_point in point:
-        k += has_point
-        has_point |= at_point
-    if (np.count_nonzero(point) != np.count_nonzero(has_point)
-            or (width - has_point > 15).any()
-            or (has_point & ((k < 1) | (k > width - 2))).any()):
+    if (value >= 2**53).any():
         return None
-    # drop the point's 0 digit
-    p = 10 ** k
-    value = np.where(has_point, value // (10 * p) * p + value % p, value)
-    out = value / _EXACT_POW10[k]
+    # every integer below 2**53 is a double; the sign last keeps -0.0
+    out = value.astype(np.float64)
     return np.negative(out, out=out, where=neg)
 
 
@@ -487,22 +478,19 @@ def _mm_body(source) -> tuple[str, str, int, str]:
     raise FixtureFormatError(f"{source}: missing size line")
 
 
-def _kept_lines(text: str, lineno: int):
-    """Each line of text that is neither blank nor a % comment, stripped,
-    with its line number, counting text's first line as line lineno."""
-    for number, raw in enumerate(text.splitlines(), start=lineno):
-        if (stripped := raw.strip()) and stripped[0] != "%":
-            yield stripped, number
+def _kept_lines(text: str) -> list[str]:
+    """The lines of text that are neither blank nor a % comment, stripped."""
+    return [line for raw in text.splitlines()
+            if (line := raw.strip()) and line[0] != "%"]
 
 
-def _count_lines(source, text: str, lineno: int, want: int, what: str):
-    """_kept_lines(text, lineno), after a walk of its own has checked that
-    it holds want lines: a wrong count is reported ahead of any bad line,
-    and no array is sized from want before the text bears it out."""
-    got = sum(1 for _ in _kept_lines(text, lineno))
-    if got != want:
-        raise FixtureFormatError(f"{source}: expected {want} {what}, got {got}")
-    return _kept_lines(text, lineno)
+def _bad_line(source, text: str, lineno: int, k: int,
+              exc: ValueError) -> FixtureFormatError:
+    """exc as the error of the line _kept_lines(text)[k] came from, where
+    text's first line is line lineno; a walk of its own finds it."""
+    kept = (number for number, raw in enumerate(text.splitlines(), lineno)
+            if _kept_lines(raw))
+    return FixtureFormatError(f"{source}: {exc}", next(islice(kept, k, None)))
 
 
 def _read_mm_x(source, expected_n: int) -> np.ndarray:
@@ -521,13 +509,18 @@ def _read_mm_x(source, expected_n: int) -> np.ndarray:
     parsed = _parse(text, n, (np.float64,), "\n")
     if parsed is not None:
         return parsed[0]
-    lines = _count_lines(source, text, lineno + 1, n, "vector entries")
+    # the count is checked first: it is reported ahead of any bad line, and
+    # no array is sized from n before the text bears it out
+    lines = _kept_lines(text)
+    if len(lines) != n:
+        raise FixtureFormatError(
+            f"{source}: expected {n} vector entries, got {len(lines)}")
     x = np.empty(n, dtype=np.float64)
-    for k, (stripped, number) in enumerate(lines):
-        try:
-            x[k] = float(stripped)
-        except ValueError as exc:
-            raise FixtureFormatError(f"{source}: {exc}", number) from None
+    try:
+        for k, line in enumerate(lines):
+            x[k] = float(line)
+    except ValueError as exc:
+        raise _bad_line(source, text, lineno + 1, k, exc) from None
     return x
 
 
@@ -544,25 +537,26 @@ def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
             rows -= 1
             cols -= 1
             return rows, cols, vals
-    lines = _count_lines(source, text, lineno + 1, nnz, "entries")
+    lines = _kept_lines(text)  # counted first, as in _read_mm_x
+    if len(lines) != nnz:
+        raise FixtureFormatError(
+            f"{source}: expected {nnz} entries, got {len(lines)}")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
-    for k, (stripped, number) in enumerate(lines):
-        tokens = stripped.split()
-        if len(tokens) != 3:
-            raise FixtureFormatError(
-                f"{source}: entry must be 'row col value', got {stripped!r}",
-                number)
-        try:
+    try:
+        for k, line in enumerate(lines):
+            tokens = line.split()
+            if len(tokens) != 3:
+                raise ValueError(
+                    f"entry must be 'row col value', got {line!r}")
             r, c = int(tokens[0]), int(tokens[1])
             vals[k] = float(tokens[2])
-        except ValueError as exc:
-            raise FixtureFormatError(f"{source}: {exc}", number) from None
-        if not (1 <= r <= M and 1 <= c <= N):
-            raise FixtureFormatError(
-                f"{source}: entry ({r}, {c}) outside 1..{M} x 1..{N}", number)
-        rows[k], cols[k] = r - 1, c - 1
+            if not (1 <= r <= M and 1 <= c <= N):
+                raise ValueError(f"entry ({r}, {c}) outside 1..{M} x 1..{N}")
+            rows[k], cols[k] = r - 1, c - 1
+    except ValueError as exc:
+        raise _bad_line(source, text, lineno + 1, k, exc) from None
     return rows, cols, vals
 
 

@@ -111,8 +111,11 @@ def generate(params: GenParams) -> Fixture:
     the M x N grid. row_fill mode draws a per-row entry count uniformly from
     0..min(row_fill, N), then that many distinct columns straight into the
     row's slice of col_idx. Column indices are strictly increasing within
-    each row either way. Beyond the arrays it returns, generation needs only
-    the oracle's one block of scratch memory.
+    each row either way. target_nnz mode's draw permutes the whole M * N
+    grid once its density passes about 2% (75 MB at 3000 x 3000 with
+    303,617 entries, against 4.9 MB of arrays); it stays, since another
+    draw gives other fixtures. Otherwise generation needs, beyond its
+    arrays, only the oracle's one block of scratch memory.
     """
     params.validate()
     rng = np.random.default_rng(params.seed)

@@ -894,12 +894,39 @@ def test_declined_text_at_scale_reads_as_the_exporters(tmp_path):
         want = import_matrix_market(tmp_path / "ref.mtx")
         assert spy.call_count == 0
         got = import_matrix_market(tmp_path / "e.mtx")
-        # a count and a conversion walk for the entries and for x
-        assert spy.call_count == 4
+        # one walk for the entries and one for x
+        assert spy.call_count == 2
     assert (got.M, got.N, got.metadata) == (want.M, want.N, want.metadata)
     for name in ("row_ptr", "col_idx", "values", "x", "z"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+def test_integral_matrix_market_text_takes_the_codec(tmp_path):
+    # an integer file, and a real one spelling its values 4 and 4.0, are
+    # read without the line-by-line fallback; one 0.5 sends a file to it
+    files = {"int.mtx": ("integer", "4", "-7", "12", "4"),
+             "real.mtx": ("real", "4", "-7.0", "12", "4.0"),
+             "half.mtx": ("real", "4", "-7.0", "0.5", "4.0")}
+    for name, (field, *v) in files.items():
+        (tmp_path / name).write_text(
+            f"%%MatrixMarket matrix coordinate {field} general\n3 3 4\n"
+            f"1 1 {v[0]}\n2 3 {v[1]}\n3 1 {v[2]}\n3 3 {v[3]}\n")
+        companion_x_path(tmp_path / name).write_text(
+            "%%MatrixMarket matrix array real general\n3 1\n1\n-2.0\n3\n")
+    with mock.patch.object(fixture_io, "_kept_lines",
+                           wraps=fixture_io._kept_lines) as spy:
+        whole = import_matrix_market(tmp_path / "int.mtx")
+        real = import_matrix_market(tmp_path / "real.mtx")
+        assert spy.call_count == 0
+        half = import_matrix_market(tmp_path / "half.mtx")
+        assert spy.call_count == 1
+    assert_fixture_equal(real, whole)
+    assert whole.values.tolist() == [4.0, -7.0, 12.0, 4.0]
+    assert whole.x.tolist() == [1.0, -2.0, 3.0]
+    assert half.values.tolist() == [4.0, -7.0, 0.5, 4.0]
+    for name in files:
+        assert_same_outcome(import_matrix_market, tmp_path / name)
 
 
 def test_a_declared_length_past_the_text_is_a_format_error(tmp_path, ref):
@@ -972,6 +999,32 @@ def test_format_equals_repr(ints, floats, slice_entries):
             f"{r} {c} {v!r}\n" for r, c, v in zip(ints, ints, floats))
 
 
+@settings(max_examples=200, deadline=None)
+@given(ints=st.lists(st.integers(-10**18 + 1, 10**18 - 1)
+                     | st.sampled_from([0, 10**18 - 1, -(10**18 - 1)]),
+                     max_size=30),
+       floats=st.data(),
+       slice_entries=st.sampled_from([1, 2, 7, fixture_io._SLICE]))
+def test_parse_reads_back_what_format_writes(ints, floats, slice_entries):
+    """Every int64 of up to 18 digits, and every integral float64 below
+    2**53, is written in the codec's grammar and read back bit for bit."""
+    floats = np.array(floats.draw(st.lists(
+        st.integers(-2**53 + 1, 2**53 - 1).map(float)
+        | st.integers(10**15, 2**53 - 1).map(float)  # 16 digits
+        | st.sampled_from([0.0, -0.0, 2.0**53 - 1, -(2.0**53 - 1)]),
+        min_size=len(ints), max_size=len(ints))))
+    ints = np.array(ints, dtype=np.int64)
+    with mock.patch.object(fixture_io, "_SLICE", slice_entries):
+        for columns, end in (([ints], " "), ([floats], " "), ([ints], "\n"),
+                             ([floats], "\n"), ([ints, ints, floats], "\n")):
+            got = fixture_io._parse(fixture_io._format(columns, end),
+                                    len(ints), tuple(c.dtype for c in columns),
+                                    end)
+            assert got is not None
+            for a, b in zip(got, columns):
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
 def spelled(whole, frac):
     """Tokens of an optional "-", 1..whole digits and, if frac, an optional
     point and 1..frac digits."""
@@ -984,14 +1037,20 @@ def spelled(whole, frac):
 
 
 # tokens inside the codec's grammar for each dtype, and on its edges: points
-# at either end, 15 and 16 significant digits, 18 and 19 integer digits,
-# int64's ends, other spellings int() or float() accept, non-ASCII digits
-SPELLINGS = {np.int64: spelled(18, 0), np.float64: spelled(8, 7)}
+# at either end, decimals, 15 and 16 significant digits, 2**53 - 1 and
+# 2**53, 18 and 19 integer digits, int64's ends, ".0" where it is not the
+# end of an integer, other spellings int() or float() accept, non-ASCII
+# digits
+SPELLINGS = {np.int64: spelled(18, 0),
+             np.float64: st.builds(str.__add__, spelled(16, 0),
+                                   st.sampled_from(["", ".0"]))}
 EDGE_NUMBERS = [".5", "5.", "-.5", "+3", "1_0", "٣", "²", "1e5", "1E5", "-",
                 "--1", "1.2.3", "0x1", "nan", "inf", "-inf", "-0", "-0.0",
                 "007", "1" * 15, "1" * 16, "9" * 18, "9" * 19, "0." + "0" * 14,
                 "1." + "2" * 14, "1." + "2" * 15, str(2**63 - 1), str(-2**63),
-                str(2**63), "9007199254740993", "0.1", "1e-300", "1e+16"]
+                str(2**63), "9007199254740993", "0.1", "1e-300", "1e+16",
+                "9007199254740991.0", "9007199254740992.0", "1.00", ".0",
+                "-.0", "1.0.0"]
 NUMBER_TOKENS = (spelled(19, 16) | st.sampled_from(EDGE_NUMBERS)
                  | FLOATS.map(repr) | INT64S.map(str))
 
@@ -1009,8 +1068,8 @@ def token_lists(dtype):
 def in_grammar(token, dtype):
     if dtype is np.int64:
         return re.fullmatch(r"-?[0-9]{1,18}", token) is not None
-    return (re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", token) is not None
-            and sum(c.isdigit() for c in token) <= 15)
+    return (re.fullmatch(r"-?[0-9]{1,18}(\.0)?", token) is not None
+            and abs(int(token.removesuffix(".0"))) < 2**53)
 
 
 def converted(tokens, dtype):
