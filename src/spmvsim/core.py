@@ -5,10 +5,12 @@ use and the per-rank pieces of a block-row distribution (columns stay
 global). spmv_seq adds all products into their rows with np.bincount, which
 sums in storage order from +0.0 like a row loop, one block of whole rows per
 call. The package checks it against spmv_sorted_oracle, an O(nnz) COO
-scatter-add with row ids and blocks of its own; tests check that oracle
-against the paper's dense brute-force one, spmv_dense_oracle over the plain
-(m, N) float64 array that dense_from_csr returns. All of them trust the
-input boundary's validate_csr (fixture_io.validate_fixture).
+scatter-add with row ids of its own over fixed windows of entries; tests
+check that oracle against the paper's dense brute-force one,
+spmv_dense_oracle over the plain (m, N) float64 array that dense_from_csr
+returns. All of them trust the input boundary's validate_csr
+(fixture_io.validate_fixture) and only read their operands, so they take
+the read-only views that Fixture's accessors and extract_local hand out.
 A solver multiplies once per iteration, a rank only its own rows, so small
 calls matter: per-call paths use ndarray methods and slices, not NumPy's
 Python-level np.diff, repeat, searchsorted, cumsum, nonzero, sort or argsort
@@ -165,13 +167,14 @@ def _row_ids(row_ptr: np.ndarray) -> np.ndarray:
         row_ptr[1:] - row_ptr[:-1])
 
 
-# entries per block: spmv_seq's bincount calls and the oracle's np.add.at
-# calls each take a block of whole rows holding at most this many entries
-# (a longer row is a block of its own); each cuts its blocks with code of
-# its own. On the multiply-large matrix (303,617 entries), one whole-matrix
-# bincount call kept two nnz-sized temporaries alive and made glibc trim
-# and refault the heap top, with hundreds of minor faults per call in a
-# loop with run_distributed; blocks of this size took 2 per operation.
+# entries per block: spmv_seq's bincount calls each take a block of whole
+# rows holding at most this many entries (a longer row is a block of its
+# own), the oracle's np.add.at calls a window of this many entries, cut
+# rows and all. On the multiply-large matrix (303,617 entries), one
+# whole-matrix bincount call kept two nnz-sized temporaries alive and made
+# glibc trim and refault the heap top, with hundreds of minor faults per
+# call in a loop with run_distributed; blocks of this size took 2 per
+# operation.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -267,42 +270,29 @@ def spmv_sorted_oracle(mat: CsrMatrix, x: DenseVector) -> DenseVector:
     order, which validate_csr makes ascending-column order, so each row is
     0.0 + p0 + p1 + ... by ascending column. For finite inputs that equals
     the dense oracle on dense_from_csr bit for bit: a dense row's extra
-    products are +-0.0, which never change a sum begun at +0.0. It works
-    through blocks of whole rows that hold at most _BLOCK_ENTRIES entries or
-    one longer row, so its temporaries fit in one block. The kernel sums
-    with other code, row ids of its own (_row_ids) and its own block loop.
-    np.add.at's index-order accumulation is undocumented;
-    test_sorted_oracle_output_is_pinned fails if it changes. Like spmv_seq,
-    it needs a validated mat and x.n == mat.N.
+    products are +-0.0, which never change a sum begun at +0.0. It walks the
+    entries in windows of _BLOCK_ENTRIES, so its temporaries fit in one
+    window; a row that a window boundary cuts keeps its running sum in out.
+    The kernel sums with other code, row ids of its own (_row_ids) and
+    blocks of whole rows. np.add.at's index-order accumulation is
+    undocumented; test_sorted_oracle_output_is_pinned fails if it changes.
+    Like spmv_seq, it needs a validated mat and x.n == mat.N.
     """
     if mat.N != x.n:
         raise SizeMismatch(f"matrix width {mat.N} != vector length {x.n}")
     rp, cj, av, xv = mat.row_ptr, mat.col_idx, mat.values, x.values
-    bounds = _oracle_blocks(rp)
     out = np.zeros(mat.m, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r0, r1 in zip(bounds[:-1], bounds[1:]):
-            p0, p1 = int(rp[r0]), int(rp[r1])
-            # entry p lies in the last row of the block that starts at or
-            # before it
-            rows = rp[r0:r1 + 1].searchsorted(np.arange(p0, p1), side="right")
-            rows -= 1
+        for p0 in range(0, mat.nnz, _BLOCK_ENTRIES):
+            p1 = min(p0 + _BLOCK_ENTRIES, mat.nnz)
+            # rp[:a] are the row starts at or before p0, so the window
+            # begins in row a - 1, and rp[a:b] the starts inside it: entry
+            # p's row is a - 1 plus the count of those at or before p
+            a, b = rp.searchsorted((p0 + 1, p1)).tolist()
+            rows = np.bincount(rp[a:b] - p0, minlength=p1 - p0)
+            rows.cumsum(out=rows)
+            rows += a - 1
             prods = xv[cj[p0:p1]]
             np.multiply(av[p0:p1], prods, out=prods)
-            np.add.at(out[r0:r1], rows, prods)
+            np.add.at(out, rows, prods)
     return DenseVector(n=mat.m, N=mat.M, values=out)
-
-
-def _oracle_blocks(row_ptr: np.ndarray) -> list[int]:
-    """Ascending row boundaries that cut a CSR matrix into the oracle's
-    blocks: 0, m and, for each entry position k * _BLOCK_ENTRIES with
-    0 < k * _BLOCK_ENTRIES < nnz, the last row start at or before it and
-    the first at or after it. Between the two cuts of one position lies at
-    most one row, and between the first cut of one position and the last
-    cut of the next lie at most _BLOCK_ENTRIES entries (0 and nnz count as
-    positions cut at rows 0 and m). With nnz <= _BLOCK_ENTRIES that leaves
-    [0, m], or [0] when m = 0."""
-    marks = np.arange(_BLOCK_ENTRIES, int(row_ptr[-1]), _BLOCK_ENTRIES)
-    return sorted({0, len(row_ptr) - 1,
-                   *(row_ptr.searchsorted(marks, side="right") - 1).tolist(),
-                   *row_ptr.searchsorted(marks).tolist()})

@@ -53,8 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CsrMatrix, DenseVector, _row_ids, spmv_sorted_oracle,
-                   validate_csr)
+from .core import _row_ids, spmv_sorted_oracle, validate_csr
 from .fixtures import Fixture
 
 __all__ = ["FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
@@ -91,24 +90,11 @@ def validate_fixture(fixture: Fixture) -> None:
         if len(arr) != want:
             raise FixtureValidationError(
                 f"{name} has {len(arr)} entries, expected {want}")
-    report = validate_csr(_own_matrix(fixture))
+    report = validate_csr(fixture.matrix())
     if not report.ok:
         raise FixtureValidationError("invalid CSR: " + report.violations[0])
     for name in ("values", "x", "z"):
         _require_finite(name, getattr(fixture, name))
-
-
-def _own_matrix(fixture: Fixture) -> CsrMatrix:
-    """The fixture's matrix over its own arrays, which fixture.matrix()
-    would copy; for the boundary's checks, which only read them."""
-    return CsrMatrix.sequential(fixture.row_ptr, fixture.col_idx,
-                                fixture.values, n=fixture.N)
-
-
-def _oracle_product(fixture: Fixture) -> np.ndarray:
-    """The sorted-entry oracle's product of the fixture's own arrays."""
-    return spmv_sorted_oracle(_own_matrix(fixture),
-                              DenseVector.sequential(fixture.x)).values
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -386,7 +372,8 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
                       x=arrays["x"], z=arrays["z"], metadata=metadata)
     validate_fixture(fixture)
     if check_ground_truth:
-        recomputed = _oracle_product(fixture)
+        recomputed = spmv_sorted_oracle(fixture.matrix(),
+                                        fixture.x_vector()).values
         if not np.array_equal(recomputed, fixture.z):
             bad = int(np.nonzero(recomputed != fixture.z)[0][0])
             raise FixtureValidationError(
@@ -607,7 +594,7 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
                       values=vals[order], x=x,
                       z=np.zeros(M), metadata=metadata)
     validate_fixture(fixture)
-    fixture.z = _oracle_product(fixture)
+    fixture.z = spmv_sorted_oracle(fixture.matrix(), fixture.x_vector()).values
     # finite entries can still overflow to a non-finite product
     _require_finite("z", fixture.z)
     return fixture

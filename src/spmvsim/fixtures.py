@@ -5,6 +5,8 @@ product z = A x. All data is integer-valued in small ranges so products are
 exact in double precision and every downstream comparison can demand exact
 equality. z always comes from the sorted-entry oracle, never from the CSR
 kernel, so the generator cannot share a bug with the code under test.
+A fixture holds the one copy of its entries: matrix(), x_vector() and
+z_vector() build their containers over read-only views of its arrays.
 """
 
 from __future__ import annotations
@@ -93,15 +95,25 @@ class Fixture:
         return len(self.values)
 
     def matrix(self) -> CsrMatrix:
-        """The global matrix as a sequential CsrMatrix."""
-        return CsrMatrix.sequential(self.row_ptr.copy(), self.col_idx.copy(),
-                                    self.values.copy(), n=self.N)
+        """The global matrix as a sequential CsrMatrix over read-only views
+        of the fixture's arrays; a caller that edits it copies them first."""
+        return CsrMatrix.sequential(_read_only(self.row_ptr),
+                                    _read_only(self.col_idx),
+                                    _read_only(self.values), n=self.N)
 
     def x_vector(self) -> DenseVector:
-        return DenseVector.sequential(self.x.copy())
+        return DenseVector.sequential(_read_only(self.x))
 
     def z_vector(self) -> DenseVector:
-        return DenseVector.sequential(self.z.copy())
+        return DenseVector.sequential(_read_only(self.z))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of arr that raises ValueError on a write, as extract_local's
+    slices do; the fixture keeps the one copy of its entries."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def generate(params: GenParams) -> Fixture:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spmvsim import CsrMatrix, reference_fixture
+from spmvsim import CsrMatrix, DenseVector, reference_fixture
 
 # non-integer floats, so a wrong placement or order cannot hide behind
 # exactly representable integers
@@ -27,6 +27,15 @@ def csr_matrices(draw, canonical, values=NON_INTEGER):
                            max_size=len(col_idx)))
     row_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
     return CsrMatrix.sequential(row_ptr.astype(np.int64), col_idx, values, n=n)
+
+
+def order_sensitive_row(n, seed):
+    """One full canonical row of n entries, with values whose sum depends
+    on the order they are added in."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    return (CsrMatrix.sequential([0, n], np.arange(n), values, n=n),
+            DenseVector.sequential(rng.normal(size=n)))
 
 
 def spmv_by_row_loop(mat, x):

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spmvsim.core
-from conftest import NON_INTEGER, csr_matrices, spmv_by_row_loop
+from conftest import (NON_INTEGER, csr_matrices, order_sensitive_row,
+                      spmv_by_row_loop)
 from spmvsim import (
     CsrMatrix,
     DenseVector,
@@ -393,7 +394,8 @@ def test_residual_zero_on_equal(ref):
 
 
 def test_residual_single_entry_difference(ref):
-    y = ref.z_vector()
+    # ref.z_vector() is read-only, so y takes a copy of z to edit
+    y = DenseVector.sequential(ref.z.copy())
     y.values[0] += 1.0
     assert residual_sq(y, ref.z_vector()) == 1.0
 
@@ -436,15 +438,6 @@ def test_sorted_oracle_equals_dense_oracle(case):
     assert sorted_y.tobytes() == dense_y.tobytes()
 
 
-def order_sensitive_row(n, seed):
-    """One full canonical row of n entries, with values whose sum depends
-    on the order they are added in."""
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-    return (CsrMatrix.sequential([0, n], np.arange(n), values, n=n),
-            DenseVector.sequential(rng.normal(size=n)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(case=products() | skewed_products())
 # a zero-row matrix
@@ -473,45 +466,11 @@ def test_sorted_oracle_equals_entry_loop(case):
 
 
 def test_sorted_oracle_equals_entry_loop_across_blocks(monkeypatch):
-    # blocks of at most 3 entries: small matrices cross many block
-    # boundaries, and every longer row is a block of its own
-    monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", 3)
-    test_sorted_oracle_equals_entry_loop()
-
-
-@pytest.mark.parametrize("block", [1, 3, 8])
-def test_oracle_blocks_hold_whole_rows_within_the_bound(monkeypatch, block):
-    monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", block)
-    rng = np.random.default_rng(block)
-    for _ in range(200):
-        lengths = rng.integers(0, 3, size=rng.integers(0, 30))
-        if len(lengths):
-            # one row can be longer than any block
-            lengths[rng.integers(len(lengths))] = rng.integers(0, 25)
-        row_ptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        bounds = spmvsim.core._oracle_blocks(row_ptr)
-        assert bounds[0] == 0 and bounds[-1] == len(lengths)
-        assert np.all(np.diff(bounds) > 0)
-        for r0, r1 in zip(bounds[:-1], bounds[1:]):
-            assert r1 - r0 == 1 or row_ptr[r1] - row_ptr[r0] <= block, (
-                lengths, bounds)
-
-
-def test_oracle_blocks_are_one_block_up_to_the_bound():
-    # the oracle cuts every matrix with these bounds, so at the real block
-    # size a matrix of at most one block's entries is one block, trailing
-    # empty rows and nnz = 0 included
-    block = spmvsim.core._BLOCK_ENTRIES
-    assert spmvsim.core._oracle_blocks(np.array([0], dtype=np.int64)) == [0]
-    for lengths in ([0], [0, 0, 0], [1], [3, 0, 2], [block], [block, 0, 0],
-                    [0, block - 1, 1, 0], [block // 2] * 2 + [0]):
-        row_ptr = np.array(list(itertools.accumulate(lengths, initial=0)),
-                           dtype=np.int64)
-        assert spmvsim.core._oracle_blocks(row_ptr) == [0, len(lengths)], (
-            lengths)
-    # one entry more than a block is cut
-    row_ptr = np.array([0, block, block + 1], dtype=np.int64)
-    assert spmvsim.core._oracle_blocks(row_ptr) == [0, 1, 2]
+    # windows of 1 to 3 entries: small matrices cross many window
+    # boundaries, and most rows longer than one are cut
+    for window in (1, 2, 3):
+        monkeypatch.setattr(spmvsim.core, "_BLOCK_ENTRIES", window)
+        test_sorted_oracle_equals_entry_loop()
 
 
 def row_ids_by_loop(row_ptr):
@@ -569,7 +528,9 @@ def test_per_call_paths_use_no_numpy_wrappers(monkeypatch, ref, block):
     for size, mode in ((2, "parallel"), (5, "serial")):
         assert run_distributed(ref, size, mode=mode).residual_sq == 0.0
     # an adjacent repeat in row 3 and a decrease in row 20: the first in
-    # storage order is named, then, with row 3 mended, the second
+    # storage order is named, then, with row 3 mended, the second; the
+    # fixture's col_idx is read-only, so the edits go to a copy
+    mat.col_idx = mat.col_idx.copy()
     row3 = mat.col_idx[2:6].copy()
     mat.col_idx[3] = mat.col_idx[2]
     mat.col_idx[[23, 24]] = mat.col_idx[[24, 23]]
@@ -582,19 +543,20 @@ def test_per_call_paths_use_no_numpy_wrappers(monkeypatch, ref, block):
 
 def test_sorted_oracle_temporaries_fit_in_one_block():
     # NumPy reports its buffers to tracemalloc: on the 303,617-entry
-    # matrix, one nnz-sized array alone takes 2.4 MB
+    # matrix, one nnz-sized array alone takes 2.4 MB, and on the one-row
+    # matrix of 200,000 entries 1.6 MB
     fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
-    mat = CsrMatrix.sequential(fx.row_ptr, fx.col_idx, fx.values, n=fx.N)
-    x = DenseVector.sequential(fx.x)
     spmv_sorted_oracle(CsrMatrix.sequential([0, 1], [0], [1.0], n=1),
                        DenseVector.sequential([1.0]))  # lazy imports stay out
-    tracemalloc.start()
-    try:
-        spmv_sorted_oracle(mat, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
+    for mat, x in ((fx.matrix(), fx.x_vector()),
+                   order_sensitive_row(200_000, seed=5)):
+        tracemalloc.start()
+        try:
+            spmv_sorted_oracle(mat, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (mat.m, peak)
 
 
 def test_sorted_oracle_output_is_pinned():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import assert_fixture_equal
 from spmvsim import (
     Fixture,
     GenParams,
@@ -215,10 +216,31 @@ def test_fixture_accessors(ref):
     assert ref.matrix().nnz == ref.nnz
     assert ref.x_vector().n == ref.N
     assert ref.z_vector().n == ref.M
-    # accessors hand out copies, not views
-    v = ref.x_vector()
-    v.values[0] = -1.0
+    # accessors hand out read-only views of the fixture's own arrays: they
+    # share its memory, and a write raises and leaves the fixture as it was
+    mat, x, z = ref.matrix(), ref.x_vector(), ref.z_vector()
+    for view, own in ((mat.row_ptr, ref.row_ptr), (mat.col_idx, ref.col_idx),
+                      (mat.values, ref.values), (x.values, ref.x),
+                      (z.values, ref.z)):
+        assert np.shares_memory(view, own)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = -1
     assert ref.x[0] == 3.0
+    assert_fixture_equal(ref, reference_fixture())
+
+
+def test_fixture_accessors_copy_no_entries():
+    # NumPy reports its buffers to tracemalloc: copies of the 303,617-entry
+    # fixture's arrays would take 4.9 MB
+    fx = generate(GenParams(M=3000, N=3000, row_fill=200, seed=1))
+    assert fx.nnz == 303_617
+    tracemalloc.start()
+    try:
+        fx.matrix(), fx.x_vector(), fx.z_vector()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
 
 
 def test_fixture_is_plain_dataclass():
