@@ -121,7 +121,8 @@ def cmd_verify(args) -> int:
 
 
 def _sniff_format(path) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # the readers name the file in their error for a byte that is not UTF-8
+    with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().strip()
     if first == FORMAT_HEADER:
         return "fixture"

@@ -143,9 +143,6 @@ class CollectiveTrace:
     def __init__(self):
         self._records: list[TraceRecord] = []
 
-    def _append(self, record: TraceRecord) -> None:
-        self._records.append(record)
-
     @property
     def records(self) -> list[TraceRecord]:
         return sorted(self._records, key=lambda r: (r.seq, r.rank))
@@ -310,19 +307,15 @@ class CollectiveEngine:
         """Run one rank; False if the run has abandoned this rank's thread."""
         ctx = RankContext(rank=rank, size=self.size, _engine=self)
         try:
-            self._await_turn(rank)
+            if self.mode == "serial":
+                with self._cond:
+                    while self._turn != rank and self._abort is None:
+                        self._cond.wait()
+                    self._check_abort()
             results[rank] = program(ctx)
         except BaseException as exc:  # handed to run(), which re-raises it
             failures[rank] = exc
         return self._finish_rank(rank)
-
-    def _await_turn(self, rank: int) -> None:
-        if self.mode != "serial":
-            return
-        with self._cond:
-            while self._turn != rank and self._abort is None:
-                self._cond.wait()
-            self._check_abort()
 
     def _finish_rank(self, rank: int) -> bool:
         with self._cond:
@@ -368,7 +361,7 @@ class CollectiveEngine:
                 gen = _Generation(self.size, op)
                 self._generations[seq] = gen
             if self.trace is not None:
-                self.trace._append(TraceRecord(seq, op, rank, length))
+                self.trace._records.append(TraceRecord(seq, op, rank, length))
             was_done = gen.done
             if not was_done and gen.op != op:
                 gen.fail(CollectiveMismatch,

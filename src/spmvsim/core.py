@@ -10,7 +10,8 @@ check that oracle against the paper's dense brute-force one,
 spmv_dense_oracle over the plain (m, N) float64 array that dense_from_csr
 returns. All of them trust the input boundary's validate_csr
 (fixture_io.validate_fixture) and only read their operands, so they take
-the read-only views that Fixture's accessors and extract_local hand out.
+the read-only views that Fixture's accessors and extract_local hand out,
+both built by _read_only here.
 A solver multiplies once per iteration, a rank only its own rows, so small
 calls matter: per-call paths use ndarray methods and slices, not NumPy's
 Python-level np.diff, repeat, searchsorted, cumsum, nonzero, sort or argsort
@@ -98,6 +99,13 @@ class DenseVector:
     def sequential(cls, values) -> "DenseVector":
         v = np.asarray(values, dtype=np.float64)
         return cls(n=len(v), N=len(v), values=v)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of arr (no copy) that raises ValueError on a write."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass

@@ -62,8 +62,11 @@ __all__ = ["FORMAT_HEADER", "FixtureFormatError", "FixtureValidationError",
 
 FORMAT_HEADER = "spmv-fixture-v1"
 
-_ARRAY_FIELDS = ("rowptr", "colidx", "values", "x", "z")
 _SCALAR_FIELDS = ("rows", "cols", "nnz")
+# each array line's key, in file order (Fixture's field order too), and the
+# dtype it is read as
+_ARRAY_FIELDS = {"rowptr": np.int64, "colidx": np.int64,
+                 "values": np.float64, "x": np.float64, "z": np.float64}
 
 
 class FixtureFormatError(ValueError):
@@ -322,54 +325,47 @@ def read_fixture(source, *, check_ground_truth: bool = True) -> Fixture:
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise FixtureFormatError(
             f"missing '{FORMAT_HEADER}' header", line=1)
-    scalars: dict[str, int] = {}
-    arrays: dict[str, np.ndarray] = {}
+    fields: dict = {}
     metadata: dict[str, str] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         head = raw.split(None, 1)
         if not head:
             continue
         key = head[0]
+        if key == "meta":
+            parts = raw.split(None, 2)
+            if len(parts) < 2:
+                raise FixtureFormatError("meta: missing key", lineno)
+            metadata[parts[1]] = parts[2] if len(parts) > 2 else ""
+            continue
+        if key not in _ARRAY_FIELDS and key not in _SCALAR_FIELDS:
+            raise FixtureFormatError(f"unknown field {key!r}", lineno)
+        if key in fields:
+            raise FixtureFormatError(f"duplicate field '{key}'", lineno)
         if key in _ARRAY_FIELDS:
-            if key in arrays:
-                raise FixtureFormatError(f"duplicate field '{key}'", lineno)
-            dtype = np.int64 if key in ("rowptr", "colidx") else np.float64
-            arrays[key] = _parse_array(head[1] if len(head) == 2 else "",
-                                       lineno, key, dtype)
+            # split once: the body of a large line is not cut into tokens
+            fields[key] = _parse_array(head[1] if len(head) == 2 else "",
+                                       lineno, key, _ARRAY_FIELDS[key])
             continue
         tokens = raw.split()
-        if key == "meta":
-            if len(tokens) < 2:
-                raise FixtureFormatError("meta: missing key", lineno)
-            metadata[tokens[1]] = raw.split(None, 2)[2] if len(tokens) > 2 else ""
-        elif key in _SCALAR_FIELDS:
-            if key in scalars:
-                raise FixtureFormatError(f"duplicate field '{key}'", lineno)
-            if len(tokens) != 2:
-                raise FixtureFormatError(
-                    f"{key}: expected one integer", lineno)
-            try:
-                scalars[key] = int(tokens[1])
-            except ValueError:
-                raise FixtureFormatError(
-                    f"{key}: {tokens[1]!r} is not an integer", lineno) from None
-        else:
-            raise FixtureFormatError(f"unknown field {key!r}", lineno)
-    for name in _SCALAR_FIELDS:
-        if name not in scalars:
+        if len(tokens) != 2:
+            raise FixtureFormatError(f"{key}: expected one integer", lineno)
+        try:
+            fields[key] = int(tokens[1])
+        except ValueError:
+            raise FixtureFormatError(
+                f"{key}: {tokens[1]!r} is not an integer", lineno) from None
+    for name in (*_SCALAR_FIELDS, *_ARRAY_FIELDS):
+        if name not in fields:
             raise FixtureFormatError(f"missing field '{name}'")
-    for name in _ARRAY_FIELDS:
-        if name not in arrays:
-            raise FixtureFormatError(f"missing field '{name}'")
-    M, N, nnz = scalars["rows"], scalars["cols"], scalars["nnz"]
+    nnz = fields["nnz"]
     # only the header states nnz; validate_fixture checks the other lengths
     for name in ("colidx", "values"):
-        if len(arrays[name]) != nnz:
+        if len(fields[name]) != nnz:
             raise FixtureFormatError(
-                f"{name} has {len(arrays[name])} entries, expected {nnz}")
-    fixture = Fixture(M=M, N=N, row_ptr=arrays["rowptr"],
-                      col_idx=arrays["colidx"], values=arrays["values"],
-                      x=arrays["x"], z=arrays["z"], metadata=metadata)
+                f"{name} has {len(fields[name])} entries, expected {nnz}")
+    fixture = Fixture(fields["rows"], fields["cols"],
+                      *map(fields.get, _ARRAY_FIELDS), metadata=metadata)
     validate_fixture(fixture)
     if check_ground_truth:
         recomputed = spmv_sorted_oracle(fixture.matrix(),

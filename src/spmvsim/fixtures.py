@@ -6,7 +6,7 @@ exact in double precision and every downstream comparison can demand exact
 equality. z always comes from the sorted-entry oracle, never from the CSR
 kernel, so the generator cannot share a bug with the code under test.
 A fixture holds the one copy of its entries: matrix(), x_vector() and
-z_vector() build their containers over read-only views of its arrays.
+z_vector() build their containers over core._read_only views of its arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CsrMatrix, DenseVector, spmv_sorted_oracle
+from .core import CsrMatrix, DenseVector, _read_only, spmv_sorted_oracle
 
 __all__ = ["GenParams", "Fixture", "InvalidGenParams", "RNG_NAME",
            "generate", "reference_fixture"]
@@ -106,14 +106,6 @@ class Fixture:
 
     def z_vector(self) -> DenseVector:
         return DenseVector.sequential(_read_only(self.z))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A view of arr that raises ValueError on a write, as extract_local's
-    slices do; the fixture keeps the one copy of its entries."""
-    view = arr.view()
-    view.flags.writeable = False
-    return view
 
 
 def generate(params: GenParams) -> Fixture:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collectives import exclusive_prefix_sums
-from .core import CsrMatrix
+from .core import CsrMatrix, _read_only
 
 __all__ = ["Layout", "LayoutSumMismatch", "block_local_size", "build_layout",
            "extract_local"]
@@ -103,8 +103,6 @@ def extract_local(row_ptr, col_idx, values, row_layout: Layout,
     cstart = col_layout.starts[rank]
     base = int(rp[rstart])
     stop = int(rp[rend])
-    local_cj, local_av = cj[base:stop], av[base:stop]
-    local_cj.flags.writeable = local_av.flags.writeable = False
     return CsrMatrix(
         m=rend - rstart,
         n=col_layout.local_sizes[rank],
@@ -113,6 +111,6 @@ def extract_local(row_ptr, col_idx, values, row_layout: Layout,
         rstart=rstart,
         cstart=cstart,
         row_ptr=rp[rstart:rend + 1] - base,
-        col_idx=local_cj,
-        values=local_av,
+        col_idx=_read_only(cj[base:stop]),
+        values=_read_only(av[base:stop]),
     )

@@ -52,17 +52,14 @@ class VerificationReport:
                 for c in self.checks]
 
 
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Results agree: equal entries, and NaN wherever the other has NaN."""
-    return np.array_equal(a, b, equal_nan=True)
-
-
-def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
+def _first_diff(a: np.ndarray, b: np.ndarray) -> str | None:
+    """Where results a and b first differ, or None when they agree: equal
+    entries, and NaN wherever the other has NaN."""
     if len(a) != len(b):
         return f"length {len(a)} != {len(b)}"
     idx = np.nonzero((a != b) & ~(np.isnan(a) & np.isnan(b)))[0]
     if not len(idx):
-        return "no differences"
+        return None
     k = int(idx[0])
     return f"first difference at index {k}: {float(a[k])!r} != {float(b[k])!r}"
 
@@ -122,11 +119,11 @@ def _sequential(fixture: Fixture, mat, x, product) -> VerificationReport:
             CheckResult("residual-within-tolerance", False,
                         "not evaluated: the kernel or its residual raised")])
     oracle = spmv_sorted_oracle(mat, x).values
-    same = _same(product.values, oracle)
+    diff = _first_diff(product.values, oracle)
     return VerificationReport(checks=[
-        CheckResult("kernel-matches-oracle", same,
-                    "kernel output equals sorted-entry oracle exactly" if same
-                    else _first_diff(product.values, oracle)),
+        CheckResult(
+            "kernel-matches-oracle", diff is None,
+            diff or "kernel output equals sorted-entry oracle exactly"),
         CheckResult("residual-within-tolerance", check_pass(rsq),
                     f"residualSq == {rsq!r}")])
 
@@ -183,22 +180,19 @@ def _distributed(fixture: Fixture, product, size: int, explicit_row_sizes,
         "layout-sums", sums_ok and not misshapen,
         f"row blocks sum to {row_sum} of {fixture.M}, column blocks to "
         f"{col_sum} of {fixture.N}" + "".join(misshapen))]
-    per_rank_ok = True
-    per_rank_detail = "every rank slice equals its local sequential multiply"
+    diff = None
     for rank, y in enumerate(report.per_rank_y):
         lo, hi = report.row_layout.local_range(rank)
-        if not _same(y, seq_y[lo:hi]):
-            per_rank_ok = False
-            per_rank_detail = f"rank {rank}: {_first_diff(y, seq_y[lo:hi])}"
+        if rank_diff := _first_diff(y, seq_y[lo:hi]):
+            diff = f"rank {rank}: {rank_diff}"
             break
-    checks.append(CheckResult("per-rank-sub-multiply", per_rank_ok,
-                              per_rank_detail))
-    combined = np.concatenate(report.per_rank_y)
-    concat_ok = _same(combined, seq_y)
     checks.append(CheckResult(
-        "concatenation-matches-sequential", concat_ok,
-        "concatenated rank slices equal the sequential result exactly"
-        if concat_ok else _first_diff(combined, seq_y)))
+        "per-rank-sub-multiply", diff is None,
+        diff or "every rank slice equals its local sequential multiply"))
+    diff = _first_diff(np.concatenate(report.per_rank_y), seq_y)
+    checks.append(CheckResult(
+        "concatenation-matches-sequential", diff is None, diff
+        or "concatenated rank slices equal the sequential result exactly"))
     rsq = report.residual_sq
     same_bits = float(rsq).hex() == partials_sum.hex()
     residual_detail = f"residualSq == {rsq!r}"

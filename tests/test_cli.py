@@ -231,6 +231,37 @@ def test_convert_unrecognized_input(tmp_path, capsys):
                  str(tmp_path / "o.fx"), "--format", "fixture"]) == 2
 
 
+@pytest.mark.parametrize("name, head", [
+    ("bad.fx", "spmv-fixture-v1\nrows 1\n"),
+    ("bad.mtx", "%%MatrixMarket matrix coordinate real general\n1 1 1\n"),
+], ids=["fixture", "matrixmarket"])
+def test_convert_names_a_file_that_is_not_text(tmp_path, capsys, name, head):
+    # the first line is fine and a byte that is not UTF-8 comes later: the
+    # reader's error, which names the file, not a bare codec error
+    path = tmp_path / name
+    path.write_bytes(head.encode() + b"\xff\n")
+    assert main(["convert", "--in", str(path), "--out",
+                 str(tmp_path / "o.fx"), "--format", "fixture"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not text (invalid start byte at byte {len(head)})\n")
+
+
+def test_gen_rejects_a_range_without_colon(tmp_path, capsys):
+    assert main(["gen", "--rows", "2", "--cols", "2", "--nnz", "1",
+                 "--value-range", "5", "--out", str(tmp_path / "x.fx")]) == 2
+    assert capsys.readouterr().err == (
+        "error: range must be LO:HI, got '5'\n")
+
+
+@pytest.mark.parametrize("sizes", [["--rows", "2"], ["--cols", "2"], []])
+def test_gen_requires_rows_and_cols(tmp_path, capsys, sizes):
+    assert main(["gen", *sizes, "--nnz", "1",
+                 "--out", str(tmp_path / "x.fx")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --rows and --cols are required (or use --reference)\n")
+    assert not (tmp_path / "x.fx").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["convert", "--in", "{tmp}/tall.mtx", "--out", "{tmp}/o.fx",
      "--format", "fixture"],

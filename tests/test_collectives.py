@@ -204,6 +204,47 @@ def test_allgatherv_bad_displacements_detected():
         run_ranks(2, program)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ctx: ctx.allgather(np.ones((1, 2))), ValueError,
+     "allgather block must be 1-D, got shape (1, 2)"),
+    (lambda ctx: ctx.allgatherv(np.ones((1, 1)), [1, 1], [0, 1]), ValueError,
+     "allgatherv block must be 1-D, got shape (1, 1)"),
+    (lambda ctx: ctx.allgatherv(np.ones(1), [1, 1, 1], [0, 1]), CountMismatch,
+     "expected 2 counts and displacements, got 3 and 2"),
+    (lambda ctx: ctx.allgatherv(np.ones(1), [1, 1], [0]), CountMismatch,
+     "expected 2 counts and displacements, got 2 and 1"),
+    (lambda ctx: ctx.allgatherv(np.ones(1), [1, -1], [0, 1]), CountMismatch,
+     "negative count in [1, -1]"),
+])
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_gather_arguments_checked_before_the_rendezvous(call, error, message,
+                                                        mode):
+    def program(ctx):
+        try:
+            call(ctx)
+        except error as exc:
+            return str(exc)
+
+    assert run_ranks(2, program, mode=mode) == [message] * 2
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_reducer_bug_fails_the_collective_on_every_rank(monkeypatch, mode):
+    def broken(payloads):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(spmvsim.collectives, "_reduce_allreduce_sum", broken)
+
+    def program(ctx):
+        try:
+            ctx.allreduce_sum(1.0)
+        except CollectiveError as exc:
+            return type(exc), str(exc)
+
+    assert run_ranks(3, program, mode=mode) == [
+        (CollectiveError, "reducer failed: ZeroDivisionError('boom')")] * 3
+
+
 def test_misuse_detected_in_serial_mode_too():
     def program(ctx):
         if ctx.rank == 0:

@@ -158,6 +158,23 @@ def test_validate_rejects_bad_local_block():
     assert any("row block" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("shape, violation", [
+    (dict(m=-1, n=2, row_ptr=[0]), "negative local size m=-1 n=2"),
+    (dict(m=1, n=-1, row_ptr=[0, 0]), "negative local size m=1 n=-1"),
+    (dict(m=2, n=2, row_ptr=[0, 0]), "row_ptr length 2 != m+1 = 3"),
+    (dict(m=1, n=3, row_ptr=[0, 0]), "column block [0, 3) outside [0, 2)"),
+    (dict(m=1, n=1, cstart=-1, row_ptr=[0, 0]),
+     "column block [-1, 0) outside [0, 2)"),
+    (dict(m=1, n=2, row_ptr=[0, 2], col_idx=[0, 1], values=[1.0]),
+     "values length 1 != col_idx length 2"),
+])
+def test_validate_rejects_bad_shapes(shape, violation):
+    # a 1 x 2 global matrix unless the case says otherwise
+    mat = CsrMatrix(**{"M": 1, "N": 2, "rstart": 0, "cstart": 0,
+                       "col_idx": [], "values": [], **shape})
+    assert validate_csr(mat).violations == [violation]
+
+
 def test_validate_collects_every_violation():
     # bad first pointer and a column out of range at once
     mat = CsrMatrix.sequential([1, 2], [9], [1.0], n=2)

@@ -116,6 +116,22 @@ def test_unknown_field_rejected_with_line_number(tmp_path, ref):
         read_fixture(path)
 
 
+@pytest.mark.parametrize("lineno, key, message", [
+    (8, "values", "line 8: values: missing length"),
+    (5, "meta", "line 5: meta: missing key"),
+])
+def test_bare_key_line_rejected(tmp_path, ref, lineno, key, message):
+    # the line keeps its key, with nothing but blanks after it
+    path = tmp_path / "bare.fx"
+    write_fixture(ref, path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = key + "  "
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FixtureFormatError) as exc:
+        read_fixture(path)
+    assert str(exc.value) == message
+
+
 def test_missing_field_rejected(tmp_path, ref):
     path = tmp_path / "missing.fx"
     write_fixture(ref, path)

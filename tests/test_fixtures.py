@@ -165,6 +165,15 @@ def test_bad_ranges_rejected():
         generate(GenParams(M=2, N=2, target_nnz=1, x_range=(5, 2)))
 
 
+@pytest.mark.parametrize("density, message", [
+    (dict(target_nnz=-1), "target_nnz must be >= 0, got -1"),
+    (dict(row_fill=-1), "row_fill must be >= 0, got -1"),
+])
+def test_negative_density_rejected(density, message):
+    with pytest.raises(InvalidGenParams, match=message):
+        generate(GenParams(M=2, N=2, **density))
+
+
 def test_bad_extents_rejected():
     with pytest.raises(InvalidGenParams):
         generate(GenParams(M=0, N=4, target_nnz=0))

@@ -82,6 +82,18 @@ def test_build_layout_bad_explicit_split_is_a_mismatch(sizes, message):
         build_layout(32, 2, sizes)
 
 
+@pytest.mark.parametrize("total, size, message", [
+    (4, 0, "size must be >= 1, got 0"),
+    (4, -2, "size must be >= 1, got -2"),
+    (-1, 2, "total must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("explicit", [None, [2, 2]])
+def test_build_layout_argument_checks(total, size, message, explicit):
+    # checked before any explicit split is looked at
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_layout(total, size, explicit)
+
+
 def test_build_layout_explicit_rejects_negative_and_wrong_count():
     with pytest.raises(ValueError):
         build_layout(4, 2, [5, -1])

@@ -95,6 +95,10 @@ def invalid_fixtures():
                  x=[1.0, 2.0], z=[10.0]), "duplicate cell (0, 1)"),
         (Fixture(M=1, N=2, row_ptr=[1, 2], col_idx=[0], values=[1.0],
                  x=[1.0, 2.0], z=[1.0]), "row_ptr[0] != 0 (got 1)"),
+        # values one short of col_idx, which no file's nnz line lets through
+        (Fixture(M=1, N=2, row_ptr=[0, 2], col_idx=[0, 1], values=[1.0],
+                 x=[1.0, 2.0], z=[1.0]),
+         "invalid CSR: values length 1 != col_idx length 2"),
     ]
 
 
