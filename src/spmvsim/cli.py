@@ -35,8 +35,8 @@ SUCCESS_LINE = "Succeeded in computing y = Ax"
 ERROR_LINE = "Error in computing y = Ax, with norm = {norm:g}"
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
+def _parse_range(text: str | None, default: str) -> tuple[int, int]:
+    lo, sep, hi = (default if text is None else text).partition(":")
     if not sep:
         raise InvalidGenParams(f"range must be LO:HI, got {text!r}")
     return int(lo), int(hi)
@@ -48,7 +48,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_gen(args) -> int:
     if args.reference:
-        conflicting = [args.rows, args.cols, args.nnz, args.row_fill]
+        conflicting = [args.rows, args.cols, args.nnz, args.row_fill,
+                       args.seed, args.value_range, args.x_range]
         if any(v is not None for v in conflicting):
             print("error: --reference cannot be combined with generation "
                   "parameters", file=sys.stderr)
@@ -65,8 +66,9 @@ def cmd_gen(args) -> int:
             return 2
         params = GenParams(M=args.rows, N=args.cols, target_nnz=args.nnz,
                            row_fill=args.row_fill,
-                           value_range=_parse_range(args.value_range),
-                           x_range=_parse_range(args.x_range), seed=args.seed)
+                           value_range=_parse_range(args.value_range, "1:11"),
+                           x_range=_parse_range(args.x_range, "1:9"),
+                           seed=0 if args.seed is None else args.seed)
         fixture = generate(params)
     write_fixture(fixture, args.out)
     print(f"wrote {args.out}: {fixture.M} x {fixture.N}, "
@@ -75,8 +77,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if not 1 <= args.ranks <= MAX_RANKS:
-        print(f"error: --ranks must be in 1..{MAX_RANKS}, got {args.ranks}",
+    if args.mode == "seq" and (args.ranks is not None or args.trace):
+        print("error: --ranks and --trace apply only to --mode dist",
+              file=sys.stderr)
+        return 2
+    ranks = 1 if args.ranks is None else args.ranks
+    if not 1 <= ranks <= MAX_RANKS:
+        print(f"error: --ranks must be in 1..{MAX_RANKS}, got {ranks}",
               file=sys.stderr)
         return 2
     # the run itself is the judge of the stored product, so load without
@@ -86,7 +93,7 @@ def cmd_run(args) -> int:
         y = spmv_seq(fixture.matrix(), fixture.x_vector())
         norm = residual_sq(y, fixture.z_vector())
     else:
-        report = run_distributed(fixture, args.ranks)
+        report = run_distributed(fixture, ranks)
         if args.trace:
             print(report.trace.dump())
         norm = report.residual_sq
@@ -134,10 +141,15 @@ def _sniff_format(path) -> str:
 def cmd_convert(args) -> int:
     src_format = _sniff_format(args.infile)
     if src_format == "fixture":
+        if args.x is not None or args.x_seed is not None:
+            print("error: --x and --x-seed apply only to Matrix Market input",
+                  file=sys.stderr)
+            return 2
         fixture = read_fixture(args.infile)
     else:
-        fixture = import_matrix_market(args.infile, x_source=args.x,
-                                       x_seed=args.x_seed)
+        fixture = import_matrix_market(
+            args.infile, x_source=args.x,
+            x_seed=0 if args.x_seed is None else args.x_seed)
     if args.format == "fixture":
         write_fixture(fixture, args.out)
         print(f"wrote {args.out} (canonical fixture)")
@@ -164,11 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="total number of stored entries")
     gen.add_argument("--row-fill", type=int, default=None,
                      help="maximum stored entries per row")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed")
-    gen.add_argument("--value-range", default="1:11",
-                     help="inclusive integer range LO:HI for matrix values")
-    gen.add_argument("--x-range", default="1:9",
-                     help="inclusive integer range LO:HI for x entries")
+    gen.add_argument("--seed", type=int, default=None,
+                     help="generator seed (default 0)")
+    gen.add_argument("--value-range", default=None,
+                     help="inclusive integer range LO:HI for matrix values "
+                          "(default 1:11)")
+    gen.add_argument("--x-range", default=None,
+                     help="inclusive integer range LO:HI for x entries "
+                          "(default 1:9)")
     gen.add_argument("--reference", action="store_true",
                      help="emit the bundled reference instance instead of "
                           "generating")
@@ -179,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "product")
     run.add_argument("--fixture", required=True, help="fixture file to run")
     run.add_argument("--mode", choices=("seq", "dist"), default="seq")
-    run.add_argument("--ranks", type=int, default=1,
-                     help="simulated rank count for --mode dist")
+    run.add_argument("--ranks", type=int, default=None,
+                     help="simulated rank count for --mode dist (default 1)")
     run.add_argument("--trace", action="store_true",
                      help="print the collective trace of a distributed run")
     run.set_defaults(func=cmd_run)
@@ -207,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                       required=True, help="output format")
     conv.add_argument("--x", default=None,
                       help="companion x file for Matrix Market input")
-    conv.add_argument("--x-seed", type=int, default=0,
-                      help="seed for generating x when no companion exists")
+    conv.add_argument("--x-seed", type=int, default=None,
+                      help="seed for generating x when Matrix Market input "
+                           "has no companion (default 0)")
     conv.set_defaults(func=cmd_convert)
     return parser
 

@@ -46,13 +46,16 @@ __all__ = [
     "CollectiveTrace",
     "RankContext",
     "CollectiveEngine",
-    "run_ranks",
 ]
 
 
 # each simulated rank runs on an OS thread, and at most this many threads stay
 # parked between runs; engines refuse more ranks before starting any
 MAX_RANKS = 64
+
+# seconds a run may take before it is aborted, and then the grace its ranks
+# get to stop before their threads are abandoned
+_RUN_TIMEOUT = 60.0
 
 # parked rank threads as (wake, slot) pairs: a parked thread blocks on its held
 # wake lock until run() puts a job in slot and releases the lock
@@ -155,7 +158,7 @@ class _Generation:
     """Rendezvous state for one collective sequence number."""
 
     __slots__ = ("op", "payloads", "deposited", "results", "collected",
-                 "done", "error_class", "error_message")
+                 "done", "error")
 
     def __init__(self, size: int, op: str):
         self.op = op
@@ -164,13 +167,11 @@ class _Generation:
         self.results: list | None = None
         self.collected = 0
         self.done = False
-        self.error_class: type[CollectiveError] | None = None
-        self.error_message: str | None = None
+        self.error: CollectiveError | None = None
 
-    def fail(self, error_class: type[CollectiveError], message: str) -> None:
-        if self.error_class is None:
-            self.error_class = error_class
-            self.error_message = message
+    def fail(self, error: CollectiveError) -> None:
+        if self.error is None:
+            self.error = error
         self.done = True
 
 
@@ -212,17 +213,13 @@ class CollectiveEngine:
     """
 
     def __init__(self, size: int, *, mode: str = "parallel",
-                 record_trace: bool = False, timeout: float = 60.0):
+                 record_trace: bool = False):
         if not 1 <= size <= MAX_RANKS:
             raise ValueError(f"size must be in 1..{MAX_RANKS}, got {size}")
         if mode not in ("parallel", "serial"):
             raise ValueError(f"mode must be 'parallel' or 'serial', got {mode!r}")
-        if not 0 < timeout <= threading.TIMEOUT_MAX:
-            raise ValueError(f"timeout must be above 0 and at most "
-                             f"{threading.TIMEOUT_MAX}s, got {timeout!r}")
         self.size = size
         self.mode = mode
-        self.timeout = timeout
         self.trace: CollectiveTrace | None = (
             CollectiveTrace() if record_trace else None)
         self._cond = threading.Condition()
@@ -230,7 +227,7 @@ class CollectiveEngine:
         self._next_seq = [0] * size
         self._finished = [False] * size
         self._turn = 0 if mode == "serial" else None
-        self._abort: tuple[type[BaseException], str] | None = None
+        self._abort: CollectiveError | None = None
         self._abandoned = False
         self._ran = False
         # released by the last rank thread to park again after run()
@@ -245,9 +242,9 @@ class CollectiveEngine:
 
         If any rank raises, the exception of the lowest-numbered failing
         rank is re-raised here after every rank's thread has parked again. A
-        run still going after timeout seconds is aborted and raises
-        CollectiveError at most one more timeout later, even if a rank never
-        stops.
+        run still going after _RUN_TIMEOUT (60) seconds is aborted and raises
+        CollectiveError at most another _RUN_TIMEOUT later, even if a rank
+        never stops.
         """
         if self._ran:
             raise RuntimeError("engine already ran; build a new one per run")
@@ -266,21 +263,21 @@ class CollectiveEngine:
             else:
                 threading.Thread(target=_serve, args=(threading.Lock(), [job]),
                                  daemon=True).start()
-        if not self._all_parked.acquire(timeout=self.timeout):
+        timeout = _RUN_TIMEOUT
+        if not self._all_parked.acquire(timeout=timeout):
             with self._cond:
-                self._abort = (CollectiveError,
-                               f"simulation timed out after {self.timeout}s")
+                self._abort = CollectiveError(
+                    f"simulation timed out after {timeout}s")
                 self._cond.notify_all()
             # a rank stuck outside any collective never sees the abort; give
             # up on it after one more timeout and abandon its daemon thread,
             # which exits instead of parking once its program returns
-            stopped = self._all_parked.acquire(timeout=self.timeout)
+            stopped = self._all_parked.acquire(timeout=timeout)
             with self._cond:
                 self._abandoned = not stopped
                 stuck = [r for r, done in enumerate(self._finished) if not done]
             detail = f"; rank(s) {stuck} did not stop" if stuck else ""
-            raise CollectiveError(
-                f"simulation timed out after {self.timeout}s{detail}")
+            raise CollectiveError(f"simulation timed out after {timeout}s{detail}")
         self._raise_first_failure(failures)
         return results
 
@@ -332,9 +329,9 @@ class CollectiveEngine:
         # returned can never complete and would deadlock a real run
         missing = [r for r in range(self.size) if r not in gen.deposited]
         if not gen.done and missing and all(self._finished[r] for r in missing):
-            gen.fail(CollectiveMismatch,
-                     f"rank(s) {missing} finished without joining "
-                     f"'{gen.op}' at seq {seq}")
+            gen.fail(CollectiveMismatch(
+                f"rank(s) {missing} finished without joining "
+                f"'{gen.op}' at seq {seq}"))
 
     def _advance_turn(self) -> None:
         # under self._cond; pass the baton to the next unfinished rank
@@ -346,8 +343,7 @@ class CollectiveEngine:
 
     def _check_abort(self) -> None:
         if self._abort is not None:
-            cls, msg = self._abort
-            raise cls(msg)
+            raise type(self._abort)(*self._abort.args)
 
     # -- rendezvous ---------------------------------------------------------
 
@@ -364,9 +360,9 @@ class CollectiveEngine:
                 self.trace._records.append(TraceRecord(seq, op, rank, length))
             was_done = gen.done
             if not was_done and gen.op != op:
-                gen.fail(CollectiveMismatch,
-                         f"collective mismatch at seq {seq}: rank {rank} "
-                         f"called '{op}' while '{gen.op}' is in progress")
+                gen.fail(CollectiveMismatch(
+                    f"collective mismatch at seq {seq}: rank {rank} "
+                    f"called '{op}' while '{gen.op}' is in progress"))
             gen.deposited.add(rank)
             if not gen.done:
                 gen.payloads[rank] = payload
@@ -374,9 +370,9 @@ class CollectiveEngine:
                     try:
                         gen.results = reducer(gen.payloads)
                     except CollectiveError as exc:
-                        gen.fail(type(exc), str(exc))
+                        gen.fail(exc)
                     except Exception as exc:  # reducer bug; fail loudly everywhere
-                        gen.fail(CollectiveError, f"reducer failed: {exc!r}")
+                        gen.fail(CollectiveError(f"reducer failed: {exc!r}"))
                     gen.done = True
             self._fail_if_deserted(seq, gen)
             handed_over = self.mode == "serial" and self._turn == rank
@@ -387,7 +383,7 @@ class CollectiveEngine:
                 self._cond.notify_all()
             while True:
                 self._check_abort()
-                if gen.done and (gen.error_class is not None
+                if gen.done and (gen.error is not None
                                  or self.mode != "serial"
                                  or self._turn == rank):
                     break
@@ -395,8 +391,8 @@ class CollectiveEngine:
             gen.collected += 1
             if gen.collected == self.size:
                 self._generations.pop(seq, None)
-            if gen.error_class is not None:
-                raise gen.error_class(gen.error_message)
+            if gen.error is not None:
+                raise type(gen.error)(*gen.error.args)
             return gen.results[rank]
 
 
@@ -457,8 +453,3 @@ class RankContext:
         """Global sum, accumulated in ascending rank order on every rank."""
         return self._engine._collective(
             self.rank, "allreduce_sum", float(value), 1, _reduce_allreduce_sum)
-
-
-def run_ranks(size: int, program, *, mode: str = "parallel"):
-    """Run program(ctx) across size simulated ranks; results in rank order."""
-    return CollectiveEngine(size, mode=mode).run(program)

@@ -72,13 +72,13 @@ def _steps_down(sizes) -> bool:
 
 
 def verify_fixture(fixture: Fixture, sizes=(), explicit_row_sizes=None,
-                   explicit_col_sizes=None, *, mode: str = "parallel"
+                   explicit_col_sizes=None
                    ) -> list[tuple[str, VerificationReport]]:
-    """The "sequential" section, then one "distributed size=K" section per
-    K in sizes, in order. One spmv_seq product of the fixture's own arrays
-    serves them all; if it raises, the sequential section's first check
-    and each distributed section's distributed-run check name the
-    exception, unless that section's run fails first."""
+    """The "sequential" section, then one "distributed size=K" section per K in
+    sizes, in order, each run on the parallel engine. One spmv_seq product of
+    the fixture's own arrays serves them all; if it raises, the sequential
+    section's first check and each distributed section's distributed-run check
+    name the exception, unless that section's run fails first."""
     names = ["sequential", *(f"distributed size={k}" for k in sizes)]
     try:
         validate_fixture(fixture)
@@ -92,7 +92,7 @@ def verify_fixture(fixture: Fixture, sizes=(), explicit_row_sizes=None,
         y = exc
     reports = [_sequential(fixture, mat, x, y)]
     reports += [_distributed(fixture, y, k, explicit_row_sizes,
-                             explicit_col_sizes, mode) for k in sizes]
+                             explicit_col_sizes) for k in sizes]
     return list(zip(names, reports))
 
 
@@ -129,7 +129,7 @@ def _sequential(fixture: Fixture, mat, x, product) -> VerificationReport:
 
 
 def _distributed(fixture: Fixture, product, size: int, explicit_row_sizes,
-                 explicit_col_sizes, mode: str) -> VerificationReport:
+                 explicit_col_sizes) -> VerificationReport:
     """Check one distributed run at the given rank count against the
     sequential product.
 
@@ -145,7 +145,7 @@ def _distributed(fixture: Fixture, product, size: int, explicit_row_sizes,
     """
     try:
         report = run_distributed(fixture, size, explicit_row_sizes,
-                                 explicit_col_sizes, mode=mode)
+                                 explicit_col_sizes)
         if isinstance(product, Exception):
             raise product
         seq_y = product.values

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from spmvsim import (
+    CollectiveEngine,
     GatherPath,
     GenParams,
     block_local_size,
@@ -25,7 +26,6 @@ from spmvsim import (
     reference_fixture,
     residual_sq,
     run_distributed,
-    run_ranks,
     spmv_dense_oracle,
     spmv_seq,
     verify_sequential,
@@ -109,8 +109,8 @@ def test_criterion_3_layout_obligations_exhaustive():
     for total in (0, 1, 36, 200):
         for size in range(1, 17):
             layout = build_layout(total, size)
-            starts = run_ranks(
-                size, lambda ctx: ctx.exscan_sum(layout.local_sizes[ctx.rank]))
+            starts = CollectiveEngine(size).run(
+                lambda ctx: ctx.exscan_sum(layout.local_sizes[ctx.rank]))
             assert tuple(starts) == layout.starts, (total, size)
     report(3, f"3216 (global, size) pairs checked in {elapsed * 1e3:.0f} ms, "
               f"engine exscan agrees on sampled grid")

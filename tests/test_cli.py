@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spmvsim
 from conftest import assert_fixture_equal
-from spmvsim import (MAX_RANKS, Fixture, read_fixture, reference_fixture,
-                     write_fixture)
+from spmvsim import (MAX_RANKS, Fixture, GenParams, companion_x_path,
+                     export_matrix_market, generate, read_fixture,
+                     reference_fixture, write_fixture)
 from spmvsim.cli import main
 
 SUCCESS = "Succeeded in computing y = Ax"
@@ -45,6 +47,18 @@ def test_gen_reference(tmp_path, capsys):
 def test_gen_reference_conflicts_with_params(tmp_path, capsys):
     assert main(["gen", "--reference", "--rows", "4",
                  "--out", str(tmp_path / "x.fx")]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "9"), ("--value-range", "2:3"), ("--x-range", "4:4")])
+def test_gen_reference_conflicts_with_value_flags(tmp_path, capsys, flag,
+                                                  value):
+    # the reference instance is fixed, so these flags would change nothing
+    out = tmp_path / "x.fx"
+    assert main(["gen", "--reference", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --reference cannot be combined with generation parameters\n")
+    assert not out.exists()
 
 
 def test_gen_infeasible_nnz(tmp_path, capsys):
@@ -85,6 +99,37 @@ def test_run_rejects_bad_rank_count(tmp_path, capsys):
         assert main(["run", "--fixture", str(path), "--mode", "dist",
                      "--ranks", str(ranks)]) == 2
         assert f"1..{MAX_RANKS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--ranks", "7"], ["--trace"],
+                                   ["--trace", "--ranks", "7"]])
+def test_run_seq_refuses_distributed_flags(tmp_path, capsys, flags):
+    path = write_ref(tmp_path)
+    assert main(["run", "--fixture", str(path), "--mode", "seq",
+                 *flags]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --ranks and --trace apply only to --mode dist\n")
+
+
+def test_unset_flags_keep_their_defaults(tmp_path, capsys):
+    out = tmp_path / "g.fx"
+    assert main(["gen", "--rows", "5", "--cols", "6", "--nnz", "9",
+                 "--out", str(out)]) == 0
+    assert_fixture_equal(read_fixture(out), generate(GenParams(
+        M=5, N=6, target_nnz=9, value_range=(1, 11), x_range=(1, 9),
+        seed=0)))
+    capsys.readouterr()
+    assert main(["run", "--fixture", str(out), "--mode", "dist",
+                 "--trace"]) == 0
+    trace = capsys.readouterr().out
+    assert "rank=0" in trace and "rank=1" not in trace  # one rank
+    assert main(["convert", "--in", str(out), "--out",
+                 str(tmp_path / "g.mtx"), "--format", "matrixmarket"]) == 0
+    companion_x_path(tmp_path / "g.mtx").unlink()
+    assert main(["convert", "--in", str(tmp_path / "g.mtx"), "--out",
+                 str(tmp_path / "back.fx"), "--format", "fixture"]) == 0
+    assert (read_fixture(tmp_path / "back.fx").metadata["x_source"]
+            == "generated seed=0")
 
 
 def test_run_corrupted_fixture_fails_with_norm(tmp_path, capsys):
@@ -213,6 +258,61 @@ def test_convert_round_trip(tmp_path, capsys):
                  "--format", "fixture"]) == 0
     assert_fixture_equal(read_fixture(back), reference_fixture(),
                          include_metadata=False)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--x", "{tmp}/nonexistent.x.mtx"], ["--x-seed", "5"],
+    ["--x", "{tmp}/nonexistent.x.mtx", "--x-seed", "5"]])
+def test_convert_fixture_input_refuses_x_flags(tmp_path, capsys, flags):
+    src = write_ref(tmp_path)
+    out = tmp_path / "o.mtx"
+    assert main(["convert", "--in", str(src), "--out", str(out),
+                 "--format", "matrixmarket",
+                 *(f.format(tmp=tmp_path) for f in flags)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --x and --x-seed apply only to Matrix Market input\n")
+    assert not out.exists()
+
+
+def bare_matrix_market(tmp_path):
+    """The reference matrix as Matrix Market text with no companion x."""
+    mtx = tmp_path / "bare.mtx"
+    export_matrix_market(reference_fixture(), mtx)
+    companion_x_path(mtx).unlink()
+    return mtx
+
+
+def test_convert_matrix_market_takes_x_from_named_file(tmp_path):
+    mtx = bare_matrix_market(tmp_path)
+    other = reference_fixture()
+    x = other.x = np.arange(1.0, other.N + 1)
+    export_matrix_market(other, tmp_path / "other.mtx")
+    out = tmp_path / "o.fx"
+    assert main(["convert", "--in", str(mtx), "--out", str(out),
+                 "--format", "fixture", "--x",
+                 str(tmp_path / "other.x.mtx")]) == 0
+    assert "meta x_source companion-file\n" in out.read_text()
+    assert read_fixture(out).x.tolist() == x.tolist()
+
+
+def test_convert_matrix_market_generates_x_from_seed(tmp_path):
+    mtx = bare_matrix_market(tmp_path)
+    out = tmp_path / "o.fx"
+    assert main(["convert", "--in", str(mtx), "--out", str(out),
+                 "--format", "fixture", "--x-seed", "5"]) == 0
+    assert "meta x_source generated seed=5\n" in out.read_text()
+    expected = np.random.default_rng(5).integers(
+        1, 10, size=reference_fixture().N)
+    assert read_fixture(out).x.tolist() == expected.tolist()
+
+
+def test_convert_matrix_market_names_a_missing_x_file(tmp_path, capsys):
+    mtx = bare_matrix_market(tmp_path)
+    missing = tmp_path / "nonexistent.x.mtx"
+    assert main(["convert", "--in", str(mtx), "--out",
+                 str(tmp_path / "o.fx"), "--format", "fixture",
+                 "--x", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: no such file\n"
 
 
 def test_convert_rejects_symmetric(tmp_path, capsys):

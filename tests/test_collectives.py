@@ -25,26 +25,27 @@ from spmvsim import (
     OverlappingDisplacement,
     UnequalBlockLength,
     reference_fixture,
-    run_ranks,
 )
 
 
 def test_exscan_reference_sizes():
     # contributions 11, 11, 10 give offsets 0, 11, 22
     sizes = [11, 11, 10]
-    offsets = run_ranks(3, lambda ctx: ctx.exscan_sum(sizes[ctx.rank]))
+    offsets = CollectiveEngine(3).run(
+        lambda ctx: ctx.exscan_sum(sizes[ctx.rank]))
     assert offsets == [0, 11, 22]
 
 
 def test_exscan_rank_zero_is_zero():
-    offsets = run_ranks(4, lambda ctx: ctx.exscan_sum(ctx.rank + 100))
+    offsets = CollectiveEngine(4).run(
+        lambda ctx: ctx.exscan_sum(ctx.rank + 100))
     assert offsets[0] == 0
     assert offsets == [0, 100, 201, 303]
 
 
 def test_exscan_rejects_non_integers():
     with pytest.raises(TypeError):
-        run_ranks(2, lambda ctx: ctx.exscan_sum(1.5))
+        CollectiveEngine(2).run(lambda ctx: ctx.exscan_sum(1.5))
 
 
 def test_allgather_concatenates_in_rank_order():
@@ -54,13 +55,13 @@ def test_allgather_concatenates_in_rank_order():
         lo = ctx.rank * 12
         return ctx.allgather(fx.x[lo:lo + 12])
 
-    results = run_ranks(3, program)
+    results = CollectiveEngine(3).run(program)
     for full in results:
         assert np.array_equal(full, fx.x)
 
 
 def test_allgather_empty_blocks():
-    results = run_ranks(3, lambda ctx: ctx.allgather(np.array([])))
+    results = CollectiveEngine(3).run(lambda ctx: ctx.allgather(np.array([])))
     for full in results:
         assert full.shape == (0,)
 
@@ -72,7 +73,7 @@ def test_allgather_results_are_private_copies():
             full[:] = -99.0  # must not leak into other ranks' results
         return full
 
-    results = run_ranks(3, program)
+    results = CollectiveEngine(3).run(program)
     assert results[0].tolist() == [-99.0, -99.0, -99.0]
     assert results[1].tolist() == [0.0, 1.0, 2.0]
     assert results[2].tolist() == [0.0, 1.0, 2.0]
@@ -88,7 +89,7 @@ def test_allgatherv_reassembles_uneven_blocks():
         block = fx.x[lo:lo + layout_sizes[ctx.rank]]
         return ctx.allgatherv(block, layout_sizes, starts)
 
-    results = run_ranks(5, program)
+    results = CollectiveEngine(5).run(program)
     for full in results:
         assert np.array_equal(full, fx.x)
 
@@ -101,14 +102,15 @@ def test_allgatherv_zero_length_blocks():
     def program(ctx):
         return ctx.allgatherv(np.array(data[ctx.rank]), counts, displs)
 
-    results = run_ranks(3, program)
+    results = CollectiveEngine(3).run(program)
     for full in results:
         assert full.tolist() == [7.0, 9.0]
 
 
 def test_allreduce_sums_in_rank_order():
     values = [0.25, 1.5, -0.75, 4.0]
-    results = run_ranks(4, lambda ctx: ctx.allreduce_sum(values[ctx.rank]))
+    results = CollectiveEngine(4).run(
+        lambda ctx: ctx.allreduce_sum(values[ctx.rank]))
     expected = ((0.25 + 1.5) + -0.75) + 4.0
     assert results == [expected] * 4
 
@@ -120,7 +122,7 @@ def test_sequence_mismatch_detected():
         return ctx.allgather(np.array([1.0]))
 
     with pytest.raises(CollectiveMismatch, match="seq 0"):
-        run_ranks(2, program)
+        CollectiveEngine(2).run(program)
 
 
 # the deserter returns after joining the first `joined` of its peers' two
@@ -146,7 +148,7 @@ def test_desertion_detected_instead_of_deadlock(size, mode, joined):
     with pytest.raises(CollectiveMismatch, match=(
             rf"rank\(s\) \[{size - 1}\] finished without joining "
             rf"'allreduce_sum' at seq {joined}$")):
-        run_ranks(size, program, mode=mode)
+        CollectiveEngine(size, mode=mode).run(program)
 
 
 @DESERTION_CASES
@@ -166,7 +168,7 @@ def test_late_collective_against_finished_peer(size, mode, joined):
     with pytest.raises(CollectiveMismatch, match=(
             r"rank\(s\) \[0\] finished without joining "
             rf"'allreduce_sum' at seq {joined}$")):
-        run_ranks(size, program, mode=mode)
+        CollectiveEngine(size, mode=mode).run(program)
 
 
 def test_unequal_allgather_blocks_detected():
@@ -174,7 +176,7 @@ def test_unequal_allgather_blocks_detected():
         return ctx.allgather(np.ones(ctx.rank + 1))
 
     with pytest.raises(UnequalBlockLength):
-        run_ranks(3, program)
+        CollectiveEngine(3).run(program)
 
 
 def test_allgatherv_count_mismatch_detected():
@@ -182,7 +184,7 @@ def test_allgatherv_count_mismatch_detected():
         return ctx.allgatherv(np.ones(1), [2, 2], [0, 2])
 
     with pytest.raises(CountMismatch):
-        run_ranks(2, program)
+        CollectiveEngine(2).run(program)
 
 
 def test_allgatherv_counts_must_agree_across_ranks():
@@ -193,7 +195,7 @@ def test_allgatherv_counts_must_agree_across_ranks():
         return ctx.allgatherv(block, counts, displs)
 
     with pytest.raises(CountMismatch, match="across ranks"):
-        run_ranks(2, program)
+        CollectiveEngine(2).run(program)
 
 
 def test_allgatherv_bad_displacements_detected():
@@ -201,7 +203,7 @@ def test_allgatherv_bad_displacements_detected():
         return ctx.allgatherv(np.ones(1), [1, 1], [0, 0])
 
     with pytest.raises(OverlappingDisplacement):
-        run_ranks(2, program)
+        CollectiveEngine(2).run(program)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -225,7 +227,7 @@ def test_gather_arguments_checked_before_the_rendezvous(call, error, message,
         except error as exc:
             return str(exc)
 
-    assert run_ranks(2, program, mode=mode) == [message] * 2
+    assert CollectiveEngine(2, mode=mode).run(program) == [message] * 2
 
 
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
@@ -241,7 +243,7 @@ def test_reducer_bug_fails_the_collective_on_every_rank(monkeypatch, mode):
         except CollectiveError as exc:
             return type(exc), str(exc)
 
-    assert run_ranks(3, program, mode=mode) == [
+    assert CollectiveEngine(3, mode=mode).run(program) == [
         (CollectiveError, "reducer failed: ZeroDivisionError('boom')")] * 3
 
 
@@ -252,7 +254,7 @@ def test_misuse_detected_in_serial_mode_too():
         return None
 
     with pytest.raises(CollectiveMismatch):
-        run_ranks(2, program, mode="serial")
+        CollectiveEngine(2, mode="serial").run(program)
 
 
 def test_program_exception_beats_sympathetic_mismatch():
@@ -262,7 +264,7 @@ def test_program_exception_beats_sympathetic_mismatch():
         return ctx.allreduce_sum(1.0)
 
     with pytest.raises(ValueError, match="rank 1 exploded"):
-        run_ranks(3, program)
+        CollectiveEngine(3).run(program)
 
 
 def test_specific_protocol_error_beats_peer_mismatch():
@@ -271,7 +273,7 @@ def test_specific_protocol_error_beats_peer_mismatch():
         return ctx.allgatherv(block, [1, 1, 1], [0, 1, 2])
 
     with pytest.raises(CountMismatch, match="rank 2"):
-        run_ranks(3, program)
+        CollectiveEngine(3).run(program)
 
 
 def _jittery(ctx):
@@ -286,15 +288,15 @@ def _jittery(ctx):
 
 
 @pytest.mark.parametrize("size", [8, MAX_RANKS])
-def test_modes_agree_at_scale_without_lost_wakeups(size):
+def test_modes_agree_at_scale_without_lost_wakeups(size, monkeypatch):
     # a lost wake-up strands a waiter; the short timeout turns that into a
     # failure within seconds instead of a stall, and a short switch interval
     # interleaves the ranks more finely than the default
+    monkeypatch.setattr(spmvsim.collectives, "_RUN_TIMEOUT", 10)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        runs = {mode: CollectiveEngine(size, mode=mode,
-                                       timeout=10).run(_jittery)
+        runs = {mode: CollectiveEngine(size, mode=mode).run(_jittery)
                 for mode in ("parallel", "serial")}
     finally:
         sys.setswitchinterval(interval)
@@ -325,9 +327,9 @@ def test_collective_wakes_waiters_once_per_generation(mode, most):
 
 
 def test_modes_produce_identical_results():
-    parallel = run_ranks(4, _jittery, mode="parallel")
-    parallel_again = run_ranks(4, _jittery, mode="parallel")
-    serial = run_ranks(4, _jittery, mode="serial")
+    parallel = CollectiveEngine(4, mode="parallel").run(_jittery)
+    parallel_again = CollectiveEngine(4, mode="parallel").run(_jittery)
+    serial = CollectiveEngine(4, mode="serial").run(_jittery)
     assert parallel == parallel_again == serial
 
 
@@ -372,11 +374,7 @@ def test_engine_argument_checks():
     # one above the cap is refused before any rank program starts
     started = []
     with pytest.raises(ValueError, match=f"1..{MAX_RANKS}"):
-        run_ranks(MAX_RANKS + 1, started.append)
-    # a timeout that is not a finite number above 0 is refused at construction
-    for timeout in (float("inf"), -1.0, float("nan")):
-        with pytest.raises(ValueError, match="timeout must be above 0"):
-            CollectiveEngine(2, timeout=timeout).run(started.append)
+        CollectiveEngine(MAX_RANKS + 1).run(started.append)
     assert started == []
 
 
@@ -387,28 +385,29 @@ def test_single_rank_collectives_are_immediate():
         assert ctx.allreduce_sum(2.5) == 2.5
         return "done"
 
-    assert run_ranks(1, program) == ["done"]
-    assert run_ranks(1, program, mode="serial") == ["done"]
+    assert CollectiveEngine(1).run(program) == ["done"]
+    assert CollectiveEngine(1, mode="serial").run(program) == ["done"]
 
 
 def test_results_keep_rank_order():
-    results = run_ranks(6, lambda ctx: ctx.rank * 10)
+    results = CollectiveEngine(6).run(lambda ctx: ctx.rank * 10)
     assert results == [0, 10, 20, 30, 40, 50]
 
 
-def test_timeout_backstop():
+def test_timeout_backstop(monkeypatch):
     # a program that blocks outside any collective cannot hang the suite
     def stubborn(ctx):
         if ctx.rank == 0:
             time.sleep(1.0)
         return ctx.allreduce_sum(1.0)
 
-    engine = CollectiveEngine(2, timeout=0.2)
+    monkeypatch.setattr(spmvsim.collectives, "_RUN_TIMEOUT", 0.2)
+    engine = CollectiveEngine(2)
     with pytest.raises(CollectiveError, match="timed out"):
         engine.run(stubborn)
 
 
-def test_stuck_rank_cannot_hang_the_abort():
+def test_stuck_rank_cannot_hang_the_abort(monkeypatch):
     # rank 0 blocks outside any collective, so it never sees the abort
     release = threading.Event()
 
@@ -417,7 +416,8 @@ def test_stuck_rank_cannot_hang_the_abort():
             release.wait()
         return ctx.allreduce_sum(1.0)
 
-    engine = CollectiveEngine(2, timeout=0.3)
+    monkeypatch.setattr(spmvsim.collectives, "_RUN_TIMEOUT", 0.3)
+    engine = CollectiveEngine(2)
     began = time.monotonic()
     try:
         with pytest.raises(CollectiveError, match=r"rank\(s\) \[0\] did not stop"):
@@ -440,7 +440,7 @@ def test_parked_threads_keep_nothing_of_a_finished_run():
     alive = weakref.ref(payload)
     program = program_over(payload)
     del payload  # now reachable only through the program's closure
-    assert run_ranks(2, program) == [2.0, 2.0]
+    assert CollectiveEngine(2).run(program) == [2.0, 2.0]
     del program
     gc.collect()
     assert alive() is None
@@ -449,10 +449,12 @@ def test_parked_threads_keep_nothing_of_a_finished_run():
 def test_back_to_back_runs_reuse_parked_threads():
     # every run finds the threads of the run before it parked again
     seen = {thread for _ in range(100)
-            for thread in run_ranks(2, lambda ctx: threading.current_thread())}
+            for thread in CollectiveEngine(2).run(
+                lambda ctx: threading.current_thread())}
     assert len(seen) == 2
     # a running rank thread carries its rank's name; a parked one does not
-    names = run_ranks(3, lambda ctx: threading.current_thread().name)
+    names = CollectiveEngine(3).run(
+        lambda ctx: threading.current_thread().name)
     assert names == ["sim-rank-0", "sim-rank-1", "sim-rank-2"]
     assert not any(t.name in names for t in threading.enumerate())
 
@@ -462,10 +464,10 @@ def test_pool_parks_at_most_the_threads_a_run_needed():
     script = textwrap.dedent("""
         import threading
         import time
-        from spmvsim import MAX_RANKS, collectives, run_ranks
+        from spmvsim import MAX_RANKS, CollectiveEngine, collectives
 
-        run_ranks(8, lambda ctx: ctx.allreduce_sum(1.0))
-        run_ranks(2, lambda ctx: ctx.allreduce_sum(1.0))
+        CollectiveEngine(8).run(lambda ctx: ctx.allreduce_sum(1.0))
+        CollectiveEngine(2).run(lambda ctx: ctx.allreduce_sum(1.0))
         assert len(collectives._parked) == 8, collectives._parked
         assert threading.active_count() == 1 + 8
 
@@ -473,7 +475,8 @@ def test_pool_parks_at_most_the_threads_a_run_needed():
         # MAX_RANKS exit instead of parking
         barrier = threading.Barrier(2 * MAX_RANKS, timeout=20)
         callers = [threading.Thread(
-            target=run_ranks, args=(MAX_RANKS, lambda ctx: barrier.wait()))
+            target=CollectiveEngine(MAX_RANKS).run,
+            args=(lambda ctx: barrier.wait(),))
             for _ in range(2)]
         for t in callers:
             t.start()
@@ -495,13 +498,13 @@ def test_pool_parks_at_most_the_threads_a_run_needed():
 
 
 def test_concurrent_callers_share_the_pool():
-    expected = run_ranks(4, _jittery, mode="serial")
+    expected = CollectiveEngine(4, mode="serial").run(_jittery)
     outcomes = [[], []]
 
     def caller(out):
         for _ in range(50):
             try:
-                out.append(run_ranks(4, _jittery))
+                out.append(CollectiveEngine(4).run(_jittery))
             except Exception as exc:  # reported by the assertion below
                 out.append(exc)
 
@@ -520,21 +523,25 @@ def test_concurrent_callers_share_the_pool():
     assert outcomes == [[expected] * 50] * 2
 
 
-def test_interrupt_in_a_rank_reaches_the_caller_and_the_pool_survives():
+def test_interrupt_in_a_rank_reaches_the_caller_and_the_pool_survives(
+        monkeypatch):
     def program(ctx):
         if ctx.rank == 1:
             raise KeyboardInterrupt("rank 1 interrupted")
         return ctx.allreduce_sum(1.0)
 
     with pytest.raises(KeyboardInterrupt, match="rank 1 interrupted"):
-        run_ranks(2, program)
-    assert CollectiveEngine(2, timeout=5).run(
+        CollectiveEngine(2).run(program)
+    monkeypatch.setattr(spmvsim.collectives, "_RUN_TIMEOUT", 5)
+    assert CollectiveEngine(2).run(
         lambda ctx: ctx.allreduce_sum(1.0)) == [2.0, 2.0]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_runs_ranks_without_the_parents_parked_threads():
-    run_ranks(2, lambda ctx: ctx.allreduce_sum(1.0))
+def test_forked_child_runs_ranks_without_the_parents_parked_threads(
+        monkeypatch):
+    CollectiveEngine(2).run(lambda ctx: ctx.allreduce_sum(1.0))
+    monkeypatch.setattr(spmvsim.collectives, "_RUN_TIMEOUT", 2)
     with warnings.catch_warnings():
         # Python 3.12 warns about forking a process that has threads
         warnings.filterwarnings("ignore", category=DeprecationWarning,
@@ -543,7 +550,7 @@ def test_forked_child_runs_ranks_without_the_parents_parked_threads():
     if pid == 0:
         status = 1
         try:
-            engine = CollectiveEngine(2, timeout=2)
+            engine = CollectiveEngine(2)
             if engine.run(lambda ctx: ctx.allreduce_sum(1.0)) == [2.0, 2.0]:
                 status = 0
         finally:

@@ -269,10 +269,8 @@ def test_distributed_run_equals_sequential(case):
         assert parallel.trace.dump() == serial.trace.dump()
     # on canonical rows the kernel and the oracle sum in one order, so
     # every section passes, the sequential one included
-    for mode in ("parallel", "serial"):
-        for name, report in verify_fixture(fx, sizes, row_sizes, col_sizes,
-                                           mode=mode):
-            assert report.overall, (name, report.as_text())
+    for name, report in verify_fixture(fx, sizes, row_sizes, col_sizes):
+        assert report.overall, (name, report.as_text())
 
 
 def order_sensitive_fixture():
@@ -301,4 +299,4 @@ def test_rank_sweeps_equal_row_loop_on_order_sensitive_rows(size, mode):
     y = np.concatenate(run.per_rank_y).tobytes()
     assert y == spmv_seq(fx.matrix(), fx.x_vector()).values.tobytes()
     assert y == spmv_by_row_loop(fx.matrix(), fx.x_vector()).tobytes()
-    assert all(r.overall for _, r in verify_fixture(fx, [size], mode=mode))
+    assert all(r.overall for _, r in verify_fixture(fx, [size]))

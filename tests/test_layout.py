@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spmvsim import (
+    CollectiveEngine,
     GenParams,
     LayoutSumMismatch,
     block_local_size,
@@ -15,7 +16,6 @@ from spmvsim import (
     extract_local,
     generate,
     reference_fixture,
-    run_ranks,
     spmv_seq,
     validate_csr,
 )
@@ -136,7 +136,7 @@ def test_starts_match_engine_exscan():
             def program(ctx):
                 return ctx.exscan_sum(layout.local_sizes[ctx.rank])
 
-            offsets = run_ranks(size, program)
+            offsets = CollectiveEngine(size).run(program)
             assert tuple(offsets) == layout.starts, (total, size)
 
 

@@ -106,9 +106,8 @@ def test_sequential_invalid_input_is_a_failed_check():
     # the verifier gates on validate_fixture before anything else runs
     for fx, named in invalid_fixtures():
         reports = [verify_sequential(fx)]
-        reports += [report for mode in ("parallel", "serial")
-                    for _, report in verify_fixture(fx, (1, 2), mode=mode)]
-        assert len(reports) == 7
+        reports += [report for _, report in verify_fixture(fx, (1, 2))]
+        assert len(reports) == 4
         for report in reports:
             assert not report.overall
             assert check_names(report) == ["input-valid"]
@@ -399,13 +398,6 @@ def test_gather_path_prediction_check(ref):
     report = distributed_section(ref, 4)
     by_name = {c.name: c for c in report.checks}
     assert "allgather," in by_name["gather-path-prediction"].detail
-
-
-def test_verify_uses_requested_engine_mode(ref):
-    a = distributed_section(ref, 7, mode="serial")
-    b = distributed_section(ref, 7, mode="parallel")
-    assert a.overall and b.overall
-    assert a.as_records() == b.as_records()
 
 
 # -- seeded faults ------------------------------------------------------------
