@@ -35,15 +35,22 @@ SUCCESS_LINE = "Succeeded in computing y = Ax"
 ERROR_LINE = "Error in computing y = Ax, with norm = {norm:g}"
 
 
-def _parse_range(text: str | None, default: str) -> tuple[int, int]:
+def _parse_range(flag: str, text: str | None, default: str) -> tuple[int, int]:
     lo, sep, hi = (default if text is None else text).partition(":")
-    if not sep:
-        raise InvalidGenParams(f"range must be LO:HI, got {text!r}")
-    return int(lo), int(hi)
+    try:
+        if sep:
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise InvalidGenParams(f"{flag} must be two integers LO:HI, got {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _parse_int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got "
+                         f"{text!r}") from None
 
 
 def cmd_gen(args) -> int:
@@ -66,8 +73,10 @@ def cmd_gen(args) -> int:
             return 2
         params = GenParams(M=args.rows, N=args.cols, target_nnz=args.nnz,
                            row_fill=args.row_fill,
-                           value_range=_parse_range(args.value_range, "1:11"),
-                           x_range=_parse_range(args.x_range, "1:9"),
+                           value_range=_parse_range("--value-range",
+                                                    args.value_range, "1:11"),
+                           x_range=_parse_range("--x-range", args.x_range,
+                                                "1:9"),
                            seed=0 if args.seed is None else args.seed)
         fixture = generate(params)
     write_fixture(fixture, args.out)
@@ -106,9 +115,11 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     fixture = read_fixture(args.fixture, check_ground_truth=False)
-    explicit_rows = _parse_int_list(args.row_sizes) if args.row_sizes else None
-    explicit_cols = _parse_int_list(args.col_sizes) if args.col_sizes else None
-    ranks = _parse_int_list(args.ranks_list)
+    explicit_rows = (_parse_int_list("--row-sizes", args.row_sizes)
+                     if args.row_sizes else None)
+    explicit_cols = (_parse_int_list("--col-sizes", args.col_sizes)
+                     if args.col_sizes else None)
+    ranks = _parse_int_list("--ranks-list", args.ranks_list)
     if not ranks or any(not 1 <= k <= MAX_RANKS for k in ranks):
         print(f"error: --ranks-list must name counts in 1..{MAX_RANKS}, got "
               f"{args.ranks_list!r}", file=sys.stderr)
@@ -147,9 +158,8 @@ def cmd_convert(args) -> int:
             return 2
         fixture = read_fixture(args.infile)
     else:
-        fixture = import_matrix_market(
-            args.infile, x_source=args.x,
-            x_seed=0 if args.x_seed is None else args.x_seed)
+        fixture = import_matrix_market(args.infile, x_source=args.x,
+                                       x_seed=args.x_seed)
     if args.format == "fixture":
         write_fixture(fixture, args.out)
         print(f"wrote {args.out} (canonical fixture)")

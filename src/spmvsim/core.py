@@ -8,8 +8,9 @@ call. The package checks it against spmv_sorted_oracle, an O(nnz) COO
 scatter-add with row ids of its own over fixed windows of entries; tests
 check that oracle against the paper's dense brute-force one,
 spmv_dense_oracle over the plain (m, N) float64 array that dense_from_csr
-returns. All of them trust the input boundary's validate_csr
-(fixture_io.validate_fixture) and only read their operands, so they take
+returns. All of them trust the input boundary's validate_csr, which
+returns the first violation it finds or None (fixture_io.validate_fixture
+raises on that violation), and only read their operands, so they take
 the read-only views that Fixture's accessors and extract_local hand out,
 both built by _read_only here.
 A solver multiplies once per iteration, a rank only its own rows, so small
@@ -20,14 +21,13 @@ Python-level np.diff, repeat, searchsorted, cumsum, nonzero, sort or argsort
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CsrMatrix",
     "DenseVector",
-    "ValidationReport",
     "SizeMismatch",
     "validate_csr",
     "spmv_seq",
@@ -108,65 +108,54 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate_csr: ok flag plus human-readable violations."""
+def validate_csr(mat: CsrMatrix) -> str | None:
+    """Check the structural CSR invariants; return the first violation, or
+    None when they all hold.
 
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def validate_csr(mat: CsrMatrix) -> ValidationReport:
-    """Check the structural CSR invariants and report every violation found.
-
-    Checks: row pointer length, zero start, monotonicity, agreement of
-    row_ptr[m] with the stored entry count, column indices within [0, N),
-    local block placement within the global extents and, once all of those
-    hold, columns strictly increasing within each row, naming the first
-    entry in storage order that repeats or undercuts the column before it.
+    Checks, in this order: sizes not negative, row pointer length, zero
+    start, monotonicity, agreement of row_ptr[m] with the stored entry
+    count and with the values length, column indices within [0, N), local
+    block placement within the global extents and, once all of those hold,
+    columns strictly increasing within each row, naming the first entry in
+    storage order that repeats or undercuts the column before it.
     """
-    v: list[str] = []
     rp, cj, av = mat.row_ptr, mat.col_idx, mat.values
     if mat.m < 0 or mat.n < 0:
-        v.append(f"negative local size m={mat.m} n={mat.n}")
-        return ValidationReport(ok=False, violations=v)
+        return f"negative local size m={mat.m} n={mat.n}"
     if len(rp) != mat.m + 1:
-        v.append(f"row_ptr length {len(rp)} != m+1 = {mat.m + 1}")
-        return ValidationReport(ok=False, violations=v)
+        return f"row_ptr length {len(rp)} != m+1 = {mat.m + 1}"
     if rp[0] != 0:
-        v.append(f"row_ptr[0] != 0 (got {rp[0]})")
+        return f"row_ptr[0] != 0 (got {rp[0]})"
     drops = (rp[1:] < rp[:-1]).nonzero()[0]
     if len(drops):
         k = int(drops[0])
-        v.append(f"row_ptr decreases at index {k + 1} ({rp[k]} -> {rp[k + 1]})")
+        return f"row_ptr decreases at index {k + 1} ({rp[k]} -> {rp[k + 1]})"
     if rp[mat.m] != len(cj):
-        v.append(f"row_ptr[m] = {rp[mat.m]} != stored entry count {len(cj)}")
+        return f"row_ptr[m] = {rp[mat.m]} != stored entry count {len(cj)}"
     if len(av) != len(cj):
-        v.append(f"values length {len(av)} != col_idx length {len(cj)}")
+        return f"values length {len(av)} != col_idx length {len(cj)}"
     # one mask: a negative index reads as 2**63 or more in uint64
     bad = (cj.view(np.uint64) >= mat.N).nonzero()[0]
     if len(bad):
         p = int(bad[0])
-        v.append(f"col_idx[{p}] = {cj[p]} out of range [0, {mat.N})")
+        return f"col_idx[{p}] = {cj[p]} out of range [0, {mat.N})"
     if not (0 <= mat.rstart and mat.rstart + mat.m <= mat.M):
-        v.append(f"row block [{mat.rstart}, {mat.rstart + mat.m}) outside [0, {mat.M})")
+        return f"row block [{mat.rstart}, {mat.rstart + mat.m}) outside [0, {mat.M})"
     if not (0 <= mat.cstart and mat.cstart + mat.n <= mat.N):
-        v.append(f"column block [{mat.cstart}, {mat.cstart + mat.n}) outside [0, {mat.N})")
-    if not v:
-        # falls[p]: entry p's column is not above entry p - 1's, unless a
-        # row starts at p (row_ptr holds 0 and nnz, which clears both ends)
-        falls = np.empty(len(cj) + 1, dtype=bool)
-        np.less_equal(cj[1:], cj[:-1], out=falls[1:-1])
-        falls[rp] = False
-        first = falls.nonzero()[0]
-        if len(first):
-            p = int(first[0])
-            r = int(rp.searchsorted(p, side="right")) - 1
-            c, before = int(cj[p]), int(cj[p - 1])
-            v.append(f"duplicate cell {(r, c)} stored more than once"
-                     if c == before else
-                     f"row {r} stores column {c} after column {before}")
-    return ValidationReport(ok=not v, violations=v)
+        return f"column block [{mat.cstart}, {mat.cstart + mat.n}) outside [0, {mat.N})"
+    # falls[p]: entry p's column is not above entry p - 1's, unless a row
+    # starts at p (row_ptr holds 0 and nnz, which clears both ends)
+    falls = np.empty(len(cj) + 1, dtype=bool)
+    np.less_equal(cj[1:], cj[:-1], out=falls[1:-1])
+    falls[rp] = False
+    first = falls.nonzero()[0]
+    if not len(first):
+        return None
+    p = int(first[0])
+    r = int(rp.searchsorted(p, side="right")) - 1
+    c, before = int(cj[p]), int(cj[p - 1])
+    return (f"duplicate cell {(r, c)} stored more than once" if c == before
+            else f"row {r} stores column {c} after column {before}")
 
 
 def _row_ids(row_ptr: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ a column or stores one after a higher one.
 
 Matrix Market export writes the matrix as a 1-based coordinate real general
 file in storage order, plus an array file for x next to it. Import accepts
-entries in any order and sorts them by row, then column; z is not in the
+entries in any order and sorts them by row, then column; it reads x from
+that companion file (or a named one) or, when there is none, generates it
+from a seed, and refuses a seed given for an x it reads. z is not in the
 format and is recomputed from the sorted-entry oracle on import.
 
 Both writers and both readers share one number codec, which works with
@@ -93,9 +95,9 @@ def validate_fixture(fixture: Fixture) -> None:
         if len(arr) != want:
             raise FixtureValidationError(
                 f"{name} has {len(arr)} entries, expected {want}")
-    report = validate_csr(fixture.matrix())
-    if not report.ok:
-        raise FixtureValidationError("invalid CSR: " + report.violations[0])
+    violation = validate_csr(fixture.matrix())
+    if violation is not None:
+        raise FixtureValidationError("invalid CSR: " + violation)
     for name in ("values", "x", "z"):
         _require_finite(name, getattr(fixture, name))
 
@@ -543,12 +545,16 @@ def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
     return rows, cols, vals
 
 
-def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
+def import_matrix_market(source, x_source=None, *,
+                         x_seed: int | None = None) -> Fixture:
     """Read a coordinate real general matrix and build a full fixture.
 
     x comes from the companion array file (x_source, or the derived sibling
-    path when present) and is otherwise generated from x_seed as small
-    positive integers. z is always recomputed with the sorted-entry oracle.
+    path when present) and is otherwise generated from x_seed (0 when not
+    given) as small positive integers. A missing x_source raises
+    FixtureFormatError, and an x_seed given while x comes from a file raises
+    ValueError, since the seed would go unused. z is always recomputed with
+    the sorted-entry oracle.
     """
     header, size, lineno, text = _mm_body(source)
     _mm_header(header, source, "coordinate")
@@ -577,11 +583,16 @@ def import_matrix_market(source, x_source=None, *, x_seed: int = 0) -> Fixture:
     metadata = {"source": "matrix-market"}
     x_path = Path(x_source) if x_source is not None else companion_x_path(source)
     if x_path.exists():
+        if x_seed is not None:
+            raise ValueError(f"{x_path}: x is read from this file, so x seed "
+                             f"{x_seed} would go unused")
         x = _read_mm_x(x_path, N)
         metadata["x_source"] = "companion-file"
     else:
         if x_source is not None:
             raise FixtureFormatError(f"{x_path}: no such file")
+        if x_seed is None:
+            x_seed = 0
         rng = np.random.default_rng(x_seed)
         x = rng.integers(1, 10, size=N).astype(np.float64)
         metadata["x_source"] = f"generated seed={x_seed}"

@@ -306,6 +306,21 @@ def test_convert_matrix_market_generates_x_from_seed(tmp_path):
     assert read_fixture(out).x.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize("named", [False, True], ids=["companion", "--x"])
+def test_convert_refuses_a_seed_for_an_x_read_from_a_file(tmp_path, capsys,
+                                                           named):
+    mtx = tmp_path / "ref.mtx"
+    export_matrix_market(reference_fixture(), mtx)
+    x_flag = ["--x", str(companion_x_path(mtx))] if named else []
+    out = tmp_path / "o.fx"
+    assert main(["convert", "--in", str(mtx), "--out", str(out),
+                 "--format", "fixture", *x_flag, "--x-seed", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {companion_x_path(mtx)}: x is read from this file, so x "
+        "seed 3 would go unused\n")
+    assert not out.exists()
+
+
 def test_convert_matrix_market_names_a_missing_x_file(tmp_path, capsys):
     mtx = bare_matrix_market(tmp_path)
     missing = tmp_path / "nonexistent.x.mtx"
@@ -350,7 +365,27 @@ def test_gen_rejects_a_range_without_colon(tmp_path, capsys):
     assert main(["gen", "--rows", "2", "--cols", "2", "--nnz", "1",
                  "--value-range", "5", "--out", str(tmp_path / "x.fx")]) == 2
     assert capsys.readouterr().err == (
-        "error: range must be LO:HI, got '5'\n")
+        "error: --value-range must be two integers LO:HI, got '5'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--ranks-list", "a"],
+     "--ranks-list must be comma-separated integers, got 'a'"),
+    (["verify", "--row-sizes", "16,x"],
+     "--row-sizes must be comma-separated integers, got '16,x'"),
+    (["verify", "--col-sizes", "1.5,34.5"],
+     "--col-sizes must be comma-separated integers, got '1.5,34.5'"),
+    (["gen", "--rows", "2", "--cols", "2", "--nnz", "1", "--x-range", "a:b"],
+     "--x-range must be two integers LO:HI, got 'a:b'"),
+], ids=["ranks-list", "row-sizes", "col-sizes", "x-range"])
+def test_integer_flags_name_themselves(tmp_path, capsys, argv, message):
+    path = write_ref(tmp_path)
+    out = tmp_path / "g.fx"
+    extra = (["--fixture", str(path)] if argv[0] == "verify"
+             else ["--out", str(out)])
+    assert main([*argv, *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sizes", [["--rows", "2"], ["--cols", "2"], []])

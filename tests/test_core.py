@@ -100,42 +100,32 @@ def small_matrix():
 
 
 def test_validate_reference_ok(ref):
-    report = validate_csr(ref.matrix())
-    assert report.ok
-    assert report.violations == []
+    assert validate_csr(ref.matrix()) is None
 
 
 def test_validate_accepts_empty_matrix():
     mat = CsrMatrix.sequential(row_ptr=[0, 0], col_idx=[], values=[], n=3)
-    assert validate_csr(mat).ok
+    assert validate_csr(mat) is None
 
 
 def test_validate_rejects_nonzero_first_pointer():
     mat = CsrMatrix.sequential([1, 2], [0], [1.0], n=2)
-    report = validate_csr(mat)
-    assert not report.ok
-    assert any("row_ptr[0]" in v for v in report.violations)
+    assert "row_ptr[0]" in validate_csr(mat)
 
 
 def test_validate_rejects_decreasing_pointer():
     mat = CsrMatrix.sequential([0, 2, 1], [0, 1, 0], [1.0, 1.0, 1.0], n=2)
-    report = validate_csr(mat)
-    assert not report.ok
-    assert any("decreases" in v for v in report.violations)
+    assert "decreases" in validate_csr(mat)
 
 
 def test_validate_rejects_pointer_count_disagreement():
     mat = CsrMatrix.sequential([0, 1], [0, 1], [1.0, 1.0], n=2)
-    report = validate_csr(mat)
-    assert not report.ok
-    assert any("row_ptr[m]" in v for v in report.violations)
+    assert "row_ptr[m]" in validate_csr(mat)
 
 
 def test_validate_rejects_column_out_of_range():
     mat = CsrMatrix.sequential([0, 1], [5], [1.0], n=2)
-    report = validate_csr(mat)
-    assert not report.ok
-    assert any("out of range" in v for v in report.violations)
+    assert "out of range" in validate_csr(mat)
 
 
 @pytest.mark.parametrize("cols, first_bad", [
@@ -147,15 +137,13 @@ def test_validate_rejects_column_out_of_range():
 def test_validate_names_first_column_out_of_range(cols, first_bad):
     # negative and too-large indices alike, whichever comes first
     mat = CsrMatrix.sequential([0, len(cols)], cols, [1.0] * len(cols), n=2)
-    assert validate_csr(mat).violations == [f"{first_bad} out of range [0, 2)"]
+    assert validate_csr(mat) == f"{first_bad} out of range [0, 2)"
 
 
 def test_validate_rejects_bad_local_block():
     mat = CsrMatrix(m=2, n=2, M=3, N=2, rstart=2, cstart=0,
                     row_ptr=[0, 0, 0], col_idx=[], values=[])
-    report = validate_csr(mat)
-    assert not report.ok
-    assert any("row block" in v for v in report.violations)
+    assert "row block" in validate_csr(mat)
 
 
 @pytest.mark.parametrize("shape, violation", [
@@ -172,36 +160,27 @@ def test_validate_rejects_bad_shapes(shape, violation):
     # a 1 x 2 global matrix unless the case says otherwise
     mat = CsrMatrix(**{"M": 1, "N": 2, "rstart": 0, "cstart": 0,
                        "col_idx": [], "values": [], **shape})
-    assert validate_csr(mat).violations == [violation]
-
-
-def test_validate_collects_every_violation():
-    # bad first pointer and a column out of range at once
-    mat = CsrMatrix.sequential([1, 2], [9], [1.0], n=2)
-    report = validate_csr(mat)
-    assert len(report.violations) >= 2
+    assert validate_csr(mat) == violation
 
 
 def test_validate_rejects_duplicate_cell():
     mat = CsrMatrix.sequential([0, 1, 3], [2, 0, 0], [1.5, 2.5, 3.5], n=3)
-    report = validate_csr(mat)
-    assert not report.ok
-    assert report.violations == ["duplicate cell (1, 0) stored more than once"]
+    assert validate_csr(mat) == "duplicate cell (1, 0) stored more than once"
 
 
 def unsorted_column_by_row_loop(mat):
     """The first entry, in storage order, whose column is not above the one
-    before it in its row, worded as validate_csr words it, or no violation:
-    the reference validate_csr's last check must equal."""
+    before it in its row, worded as validate_csr words it, or None: the
+    reference validate_csr's last check must equal."""
     rp, cj = mat.row_ptr.tolist(), mat.col_idx.tolist()
     for i in range(mat.m):
         for p in range(rp[i] + 1, rp[i + 1]):
             if cj[p] == cj[p - 1]:
-                return [f"duplicate cell {(i, cj[p])} stored more than once"]
+                return f"duplicate cell {(i, cj[p])} stored more than once"
             if cj[p] < cj[p - 1]:
-                return [f"row {i} stores column {cj[p]} after column "
-                        f"{cj[p - 1]}"]
-    return []
+                return (f"row {i} stores column {cj[p]} after column "
+                        f"{cj[p - 1]}")
+    return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -214,10 +193,7 @@ def unsorted_column_by_row_loop(mat):
 @example(mat=CsrMatrix.sequential([0, 1, 1, 2], [1, 1], [0.5] * 2, n=2))
 def test_validate_flags_first_unsorted_column_like_a_row_loop(mat):
     # arbitrary rows: repeats and any order
-    reference = unsorted_column_by_row_loop(mat)
-    report = validate_csr(mat)
-    assert report.ok == (not reference)
-    assert report.violations == reference
+    assert validate_csr(mat) == unsorted_column_by_row_loop(mat)
 
 
 @settings(max_examples=300, deadline=None)
@@ -536,7 +512,7 @@ def test_per_call_paths_use_no_numpy_wrappers(monkeypatch, ref, block):
     for name in NUMPY_WRAPPERS:
         monkeypatch.setattr(np, name, refuse(name))
     mat, x, z = ref.matrix(), ref.x_vector(), ref.z_vector()
-    assert validate_csr(mat).ok
+    assert validate_csr(mat) is None
     y = spmv_seq(mat, x)
     assert y.values.tolist() == REF_Z
     assert spmv_sorted_oracle(mat, x).values.tolist() == REF_Z
@@ -551,11 +527,9 @@ def test_per_call_paths_use_no_numpy_wrappers(monkeypatch, ref, block):
     row3 = mat.col_idx[2:6].copy()
     mat.col_idx[3] = mat.col_idx[2]
     mat.col_idx[[23, 24]] = mat.col_idx[[24, 23]]
-    assert validate_csr(mat).violations == [
-        "duplicate cell (3, 1) stored more than once"]
+    assert validate_csr(mat) == "duplicate cell (3, 1) stored more than once"
     mat.col_idx[2:6] = row3
-    assert validate_csr(mat).violations == [
-        "row 20 stores column 3 after column 28"]
+    assert validate_csr(mat) == "row 20 stores column 3 after column 28"
 
 
 def test_sorted_oracle_temporaries_fit_in_one_block():

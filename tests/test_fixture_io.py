@@ -279,6 +279,15 @@ def test_mm_import_without_companion_generates_x(tmp_path, ref):
     assert np.array_equal(a.row_ptr, ref.row_ptr)
 
 
+def test_mm_refuses_a_seed_for_an_x_read_from_a_file(tmp_path, ref):
+    path = tmp_path / "ref.mtx"
+    export_matrix_market(ref, path)
+    with pytest.raises(ValueError) as exc:
+        import_matrix_market(path, x_seed=5)
+    assert str(exc.value) == (f"{companion_x_path(path)}: x is read from this "
+                              "file, so x seed 5 would go unused")
+
+
 def test_mm_explicit_missing_x_file_rejected(tmp_path, ref):
     path = tmp_path / "ref.mtx"
     export_matrix_market(ref, path)

@@ -95,7 +95,7 @@ def test_different_seeds_differ():
 def test_target_nnz_is_exact():
     fx = generate(GenParams(M=32, N=36, target_nnz=50, seed=7))
     assert fx.nnz == 50
-    assert validate_csr(fx.matrix()).ok
+    assert validate_csr(fx.matrix()) is None
 
 
 def test_generated_z_matches_independent_product():
@@ -119,7 +119,7 @@ def test_row_fill_zero_gives_zero_matrix():
     fx = generate(GenParams(M=4, N=4, row_fill=0, seed=123))
     assert fx.nnz == 0
     assert np.array_equal(fx.z, np.zeros(4))
-    assert validate_csr(fx.matrix()).ok
+    assert validate_csr(fx.matrix()) is None
 
 
 def test_row_fill_caps_row_lengths():
@@ -195,7 +195,7 @@ def test_reference_fixture_shape_and_count():
     # is not stored; the row pointer is authoritative
     assert fx.nnz == 49
     assert fx.row_ptr[-1] == 49
-    assert validate_csr(fx.matrix()).ok
+    assert validate_csr(fx.matrix()) is None
 
 
 def test_reference_fixture_known_entries():

@@ -205,7 +205,7 @@ def test_extract_local_pieces_validate_and_recombine():
         for rank in range(size):
             local = extract_local(fx.row_ptr, fx.col_idx, fx.values,
                                   rows, cols, rank)
-            assert validate_csr(local).ok, (size, rank)
+            assert validate_csr(local) is None, (size, rank)
             col_parts.append(local.col_idx)
             val_parts.append(local.values)
             total_rows += local.m
