@@ -20,8 +20,7 @@ Two execution modes produce bitwise identical results:
 
 Misuse that would deadlock or corrupt a real message-passing run is detected
 and raised instead: mismatched collective sequences, a rank returning while
-peers still wait, unequal block lengths in allgather, and inconsistent
-counts or displacements in allgatherv.
+peers still wait, and unequal block lengths in allgather.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "CollectiveError",
     "CollectiveMismatch",
     "UnequalBlockLength",
-    "CountMismatch",
-    "OverlappingDisplacement",
     "TraceRecord",
     "CollectiveTrace",
     "RankContext",
@@ -98,8 +95,8 @@ def _serve(wake: threading.Lock, slot: list) -> None:
 
 
 def exclusive_prefix_sums(values) -> list:
-    """[0, v0, v0 + v1, ...] without the grand total: exscan_sum's result,
-    a layout's block starts, and the displacements allgatherv accepts."""
+    """[0, v0, v0 + v1, ...] without the grand total: exscan_sum's result
+    and a layout's block starts."""
     return list(itertools.accumulate(values, initial=0))[:-1]
 
 
@@ -113,14 +110,6 @@ class CollectiveMismatch(CollectiveError):
 
 class UnequalBlockLength(CollectiveError):
     """allgather requires every rank to contribute the same block length."""
-
-
-class CountMismatch(CollectiveError):
-    """allgatherv counts disagree with block lengths or across ranks."""
-
-
-class OverlappingDisplacement(CollectiveError):
-    """allgatherv displacements must be the exclusive prefix sums of counts."""
 
 
 class TraceRecord(NamedTuple):
@@ -182,25 +171,17 @@ def _reduce_allreduce_sum(payloads: list) -> list:
     return [acc] * len(payloads)
 
 
+def _reduce_allgatherv(payloads: list) -> list:
+    full = np.concatenate(payloads)
+    return [full.copy() for _ in payloads]
+
+
 def _reduce_allgather(payloads: list) -> list:
     lengths = [len(b) for b in payloads]
     if len(set(lengths)) > 1:
         raise UnequalBlockLength(
             f"allgather blocks must have equal length, got {lengths}")
-    full = np.concatenate(payloads)
-    return [full.copy() for _ in payloads]
-
-
-def _reduce_allgatherv(payloads: list) -> list:
-    blocks = [p[0] for p in payloads]
-    counts0 = payloads[0][1]
-    for rank, (_, counts, _) in enumerate(payloads):
-        if counts != counts0:
-            raise CountMismatch(
-                f"allgatherv counts differ across ranks: rank 0 passed "
-                f"{list(counts0)}, rank {rank} passed {list(counts)}")
-    full = np.concatenate(blocks)
-    return [full.copy() for _ in payloads]
+    return _reduce_allgatherv(payloads)
 
 
 class CollectiveEngine:
@@ -412,42 +393,18 @@ class RankContext:
 
     def allgather(self, block) -> np.ndarray:
         """Concatenate equal-length blocks in rank order; all ranks get all."""
+        return self._gather("allgather", block, _reduce_allgather)
+
+    def allgatherv(self, block) -> np.ndarray:
+        """Concatenate blocks of any lengths in rank order; all ranks get all."""
+        return self._gather("allgatherv", block, _reduce_allgatherv)
+
+    def _gather(self, op: str, block, reducer) -> np.ndarray:
         arr = np.asarray(block)
         if arr.ndim != 1:
-            raise ValueError(f"allgather block must be 1-D, got shape {arr.shape}")
+            raise ValueError(f"{op} block must be 1-D, got shape {arr.shape}")
         return self._engine._collective(
-            self.rank, "allgather", arr.copy(), len(arr), _reduce_allgather)
-
-    def allgatherv(self, block, counts, displs) -> np.ndarray:
-        """Concatenate variable-length blocks placed by counts and displs.
-
-        Only the canonical packed placement is supported: counts[r] must be
-        the length of rank r's block and displs must be the exclusive prefix
-        sums of counts, identical on every rank.
-        """
-        arr = np.asarray(block)
-        if arr.ndim != 1:
-            raise ValueError(f"allgatherv block must be 1-D, got shape {arr.shape}")
-        counts_t = tuple(int(c) for c in counts)
-        displs_t = tuple(int(d) for d in displs)
-        if len(counts_t) != self.size or len(displs_t) != self.size:
-            raise CountMismatch(
-                f"expected {self.size} counts and displacements, got "
-                f"{len(counts_t)} and {len(displs_t)}")
-        if any(c < 0 for c in counts_t):
-            raise CountMismatch(f"negative count in {list(counts_t)}")
-        if counts_t[self.rank] != len(arr):
-            raise CountMismatch(
-                f"rank {self.rank} block has {len(arr)} entries but "
-                f"counts[{self.rank}] = {counts_t[self.rank]}")
-        expected = exclusive_prefix_sums(counts_t)
-        if displs_t != tuple(expected):
-            raise OverlappingDisplacement(
-                f"displacements {list(displs_t)} are not the exclusive "
-                f"prefix sums {expected} of counts {list(counts_t)}")
-        payload = (arr.copy(), counts_t, displs_t)
-        return self._engine._collective(
-            self.rank, "allgatherv", payload, len(arr), _reduce_allgatherv)
+            self.rank, op, arr.copy(), len(arr), reducer)
 
     def allreduce_sum(self, value: float) -> float:
         """Global sum, accumulated in ascending rank order on every rank."""

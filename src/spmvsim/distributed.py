@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collectives import (CollectiveEngine, CollectiveTrace, RankContext,
-                          exclusive_prefix_sums)
+from .collectives import CollectiveEngine, CollectiveTrace, RankContext
 from .core import DenseVector, residual_sq, spmv_seq
 from .fixtures import Fixture
 from .layout import Layout, build_layout, extract_local
@@ -63,7 +62,7 @@ def gather_x(ctx: RankContext, local_x, col_layout: Layout) -> np.ndarray:
     if col_layout.explicit or col_layout.total % ctx.size:
         counts = ctx.allgather(np.array([len(local_x)], dtype=np.int64)).tolist()
         if len(set(counts)) > 1:
-            return ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
+            return ctx.allgatherv(local_x)
     return ctx.allgather(local_x)
 
 

@@ -9,6 +9,7 @@ over per-rank sizes produces.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ def build_layout(total: int, size: int, explicit_local_sizes=None) -> Layout:
     """Build the per-rank layout of one dimension.
 
     With explicit_local_sizes the caller controls the split; anything but
-    one nonnegative size per rank summing to total raises LayoutSumMismatch.
+    one nonnegative integer size per rank summing to total raises
+    LayoutSumMismatch.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -69,7 +71,12 @@ def build_layout(total: int, size: int, explicit_local_sizes=None) -> Layout:
         sizes = tuple(block_local_size(total, size, r) for r in range(size))
         explicit = False
     else:
-        sizes = tuple(int(s) for s in explicit_local_sizes)
+        given = tuple(explicit_local_sizes)
+        try:
+            sizes = tuple(map(operator.index, given))
+        except TypeError:
+            raise LayoutSumMismatch(
+                f"block sizes must be integers, got {given}") from None
         if len(sizes) != size:
             raise LayoutSumMismatch(
                 f"expected {size} block sizes, got {len(sizes)}")

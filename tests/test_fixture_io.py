@@ -70,6 +70,17 @@ def test_file_shape(tmp_path, ref):
     assert lines[7].startswith("values 49 8.0 3.0")
 
 
+def test_column_of_another_dtype_is_spelled_by_repr(tmp_path, ref):
+    # neither int64 nor float64, so the writer spells each entry's repr
+    ref.col_idx = ref.col_idx.astype(np.int32)
+    path = tmp_path / "ref.fx"
+    write_fixture(ref, path)
+    colidx = path.read_text().splitlines()[6]
+    assert colidx == "colidx 49 " + " ".join(map(str, ref.col_idx.tolist()))
+    assert ".0" not in colidx
+    assert_fixture_equal(read_fixture(path), ref)
+
+
 def test_metadata_survives_verbatim(tmp_path):
     fx = generate(GenParams(M=4, N=4, row_fill=1, seed=8))
     fx.metadata["note"] = "spaces and  double  spaces survive"

@@ -76,6 +76,8 @@ def test_build_layout_explicit_sum_mismatch_is_eager():
     ([32], "expected 2 block sizes, got 1"),
     ([33, -1], "block sizes must be >= 0, got (33, -1)"),
     ([-2, -3], "block sizes must be >= 0, got (-2, -3)"),
+    ([16.7, 16.3], "block sizes must be integers, got (16.7, 16.3)"),
+    (["16", "16"], "block sizes must be integers, got ('16', '16')"),
 ])
 def test_build_layout_bad_explicit_split_is_a_mismatch(sizes, message):
     with pytest.raises(LayoutSumMismatch, match=re.escape(message)):

@@ -40,7 +40,6 @@ from spmvsim import (
     write_fixture,
 )
 from spmvsim.cli import main
-from spmvsim.collectives import exclusive_prefix_sums
 
 
 def check_names(report):
@@ -454,8 +453,8 @@ def remainder_to_high_ranks(monkeypatch, fx):
 
 
 def reversed_allgather(monkeypatch, fx):
-    real = spmvsim.collectives._reduce_allgather
-    monkeypatch.setattr(spmvsim.collectives, "_reduce_allgather",
+    real = spmvsim.collectives._reduce_allgatherv
+    monkeypatch.setattr(spmvsim.collectives, "_reduce_allgatherv",
                         lambda payloads: real(payloads[::-1]))
 
 
@@ -478,8 +477,8 @@ def layout_drops_a_row(monkeypatch, fx):
 
 def always_allgatherv(monkeypatch, fx):
     def gather(ctx, local_x, col_layout):
-        counts = ctx.allgather(np.array([len(local_x)])).tolist()
-        return ctx.allgatherv(local_x, counts, exclusive_prefix_sums(counts))
+        ctx.allgather(np.array([len(local_x)]))
+        return ctx.allgatherv(local_x)
 
     monkeypatch.setattr(spmvsim.distributed, "gather_x", gather)
 
@@ -524,9 +523,9 @@ FAULTS = {
     rank_residual_zero: at(FAULT_RANKS, (DIST, "residual-within-tolerance")),
     # 32 rows and 36 columns split evenly over 1 and 2 ranks
     remainder_to_high_ranks: at((3, 5, 8), (DIST, "layout-sums")),
-    # equal blocks gather x reversed; uneven ones gather reversed counts
-    reversed_allgather: {**at((2, 3), (DIST, "per-rank-sub-multiply")),
-                         **at((5, 8), (DIST, "distributed-run"))},
+    # both gathers concatenate in _reduce_allgatherv, so every K > 1
+    # gathers x with its blocks in reverse rank order
+    reversed_allgather: at((2, 3, 5, 8), (DIST, "per-rank-sub-multiply")),
     wrong_extract_local_value: at(FAULT_RANKS,
                                   (DIST, "per-rank-sub-multiply")),
     layout_drops_a_row: at(FAULT_RANKS, (DIST, "layout-sums")),
