@@ -2,14 +2,15 @@
 
 K logical ranks run the same program, each on a thread of its own while the
 run lasts; between runs those daemon threads park in a module-private pool (at
-most MAX_RANKS of them) and serve the next run. A collective call deposits the
-rank's contribution and blocks until every rank has contributed to the same
-generation; results are then computed once, in ascending rank order, so the
-outcome is a pure function of the contributions and never of thread
-scheduling. Waiters wake only on what can end a wait: a generation ending
-(complete, mismatched or deserted), the serial baton moving, a rank returning,
-or an abort; a deposit that leaves its generation open wakes nobody, so in
-parallel mode a collective wakes each waiter once.
+most MAX_RANKS of them) and serve the next run. One collective is open at a
+time, since a rank joins the next only after the last has settled. A
+collective call joins it with the rank's op and contribution and blocks until
+it settles: once every rank has joined it or returned, its outcome, errors
+included, is decided once, in ascending rank order, so it is a pure function
+of the contributions and never of thread scheduling. Waiters wake only on
+what can end a wait: a collective settling, the serial baton moving, a rank
+returning, or an abort; a join that leaves the collective open wakes nobody,
+so in parallel mode a collective wakes each waiter once.
 
 Two execution modes produce bitwise identical results:
 
@@ -26,6 +27,7 @@ peers still wait, and unequal block lengths in allgather.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 import os
 import threading
@@ -113,7 +115,7 @@ class UnequalBlockLength(CollectiveError):
 
 
 class TraceRecord(NamedTuple):
-    """One rank's participation in one collective generation."""
+    """One rank's participation in one collective."""
 
     seq: int
     op: str
@@ -143,25 +145,16 @@ class CollectiveTrace:
         return "\n".join(r.format() for r in self.records)
 
 
-class _Generation:
-    """Rendezvous state for one collective sequence number."""
+class _Collective:
+    """The op and payload each rank joined with, then the settled outcome."""
 
-    __slots__ = ("op", "payloads", "deposited", "results", "collected",
-                 "done", "error")
-
-    def __init__(self, size: int, op: str):
-        self.op = op
+    def __init__(self, size: int):
+        self.ops: list[str | None] = [None] * size
         self.payloads: list = [None] * size
-        self.deposited: set[int] = set()
+        self.reducer = None
         self.results: list | None = None
-        self.collected = 0
-        self.done = False
         self.error: CollectiveError | None = None
-
-    def fail(self, error: CollectiveError) -> None:
-        if self.error is None:
-            self.error = error
-        self.done = True
+        self.done = False
 
 
 def _reduce_allreduce_sum(payloads: list) -> list:
@@ -187,10 +180,11 @@ def _reduce_allgather(payloads: list) -> list:
 class CollectiveEngine:
     """Runs one program on K simulated ranks and arbitrates collectives.
 
-    One engine corresponds to one run; run() may be called once. All shared
-    state is guarded by a single condition variable, including the serial
-    mode turn baton, so every blocking wait can also be released by the
-    abort path, and it is notified only when some wait can end.
+    One engine corresponds to one run; run() may be called once. It keeps
+    one open collective, the one ranks join next, and _settle() ends each.
+    All shared state is guarded by a single condition variable, including
+    the serial mode turn baton, so every blocking wait can also be released
+    by the abort path, and it is notified only when some wait can end.
     """
 
     def __init__(self, size: int, *, mode: str = "parallel",
@@ -204,8 +198,8 @@ class CollectiveEngine:
         self.trace: CollectiveTrace | None = (
             CollectiveTrace() if record_trace else None)
         self._cond = threading.Condition()
-        self._generations: dict[int, _Generation] = {}
-        self._next_seq = [0] * size
+        self._open = _Collective(size)
+        self._seq = 0
         self._finished = [False] * size
         self._turn = 0 if mode == "serial" else None
         self._abort: CollectiveError | None = None
@@ -300,19 +294,9 @@ class CollectiveEngine:
             self._finished[rank] = True
             if self.mode == "serial" and self._turn == rank:
                 self._advance_turn()
-            for seq, gen in self._generations.items():
-                self._fail_if_deserted(seq, gen)
+            self._settle()
             self._cond.notify_all()
             return not self._abandoned
-
-    def _fail_if_deserted(self, seq: int, gen: _Generation) -> None:
-        # under self._cond; a generation whose missing ranks have all
-        # returned can never complete and would deadlock a real run
-        missing = [r for r in range(self.size) if r not in gen.deposited]
-        if not gen.done and missing and all(self._finished[r] for r in missing):
-            gen.fail(CollectiveMismatch(
-                f"rank(s) {missing} finished without joining "
-                f"'{gen.op}' at seq {seq}"))
 
     def _advance_turn(self) -> None:
         # under self._cond; pass the baton to the next unfinished rank
@@ -331,50 +315,61 @@ class CollectiveEngine:
     def _collective(self, rank: int, op: str, payload, length: int, reducer):
         with self._cond:
             self._check_abort()
-            seq = self._next_seq[rank]
-            self._next_seq[rank] += 1
-            gen = self._generations.get(seq)
-            if gen is None:
-                gen = _Generation(self.size, op)
-                self._generations[seq] = gen
+            coll = self._open
             if self.trace is not None:
-                self.trace._records.append(TraceRecord(seq, op, rank, length))
-            was_done = gen.done
-            if not was_done and gen.op != op:
-                gen.fail(CollectiveMismatch(
-                    f"collective mismatch at seq {seq}: rank {rank} "
-                    f"called '{op}' while '{gen.op}' is in progress"))
-            gen.deposited.add(rank)
-            if not gen.done:
-                gen.payloads[rank] = payload
-                if len(gen.deposited) == self.size:
-                    try:
-                        gen.results = reducer(gen.payloads)
-                    except CollectiveError as exc:
-                        gen.fail(exc)
-                    except Exception as exc:  # reducer bug; fail loudly everywhere
-                        gen.fail(CollectiveError(f"reducer failed: {exc!r}"))
-                    gen.done = True
-            self._fail_if_deserted(seq, gen)
+                self.trace._records.append(
+                    TraceRecord(self._seq, op, rank, length))
+            coll.ops[rank] = op
+            coll.payloads[rank] = payload
+            coll.reducer = reducer
+            settled = self._settle()
             handed_over = self.mode == "serial" and self._turn == rank
             if handed_over:
                 self._advance_turn()
-            # an open generation with the baton unmoved releases no waiter
-            if handed_over or gen.done != was_done:
+            # an open collective with the baton unmoved releases no waiter
+            if handed_over or settled:
                 self._cond.notify_all()
             while True:
                 self._check_abort()
-                if gen.done and (gen.error is not None
-                                 or self.mode != "serial"
-                                 or self._turn == rank):
+                if coll.done and (coll.error is not None
+                                  or self.mode != "serial"
+                                  or self._turn == rank):
                     break
                 self._cond.wait()
-            gen.collected += 1
-            if gen.collected == self.size:
-                self._generations.pop(seq, None)
-            if gen.error is not None:
-                raise type(gen.error)(*gen.error.args)
-            return gen.results[rank]
+            if coll.error is not None:
+                raise type(coll.error)(*coll.error.args)
+            return coll.results[rank]
+
+    def _settle(self) -> bool:
+        """Under self._cond: end the open collective once every rank has
+        joined it or returned, judged in rank order: a mismatch, else a
+        desertion, else the reducer's results or error. True if it ended."""
+        coll, seq = self._open, self._seq
+        missing = [r for r, op in enumerate(coll.ops) if op is None]
+        # open while nobody has joined it or a missing rank may still join
+        if len(missing) == self.size or not all(
+                self._finished[r] for r in missing):
+            return False
+        self._open, self._seq = _Collective(self.size), seq + 1
+        op = next(op for op in coll.ops if op is not None)
+        odd = [r for r, o in enumerate(coll.ops) if o not in (None, op)]
+        if odd:
+            coll.error = CollectiveMismatch(
+                f"collective mismatch at seq {seq}: rank {odd[0]} "
+                f"called '{coll.ops[odd[0]]}' while '{op}' is in progress")
+        elif missing:
+            coll.error = CollectiveMismatch(
+                f"rank(s) {missing} finished without joining "
+                f"'{op}' at seq {seq}")
+        else:
+            try:
+                coll.results = coll.reducer(coll.payloads)
+            except CollectiveError as exc:
+                coll.error = exc
+            except Exception as exc:  # reducer bug; fail loudly everywhere
+                coll.error = CollectiveError(f"reducer failed: {exc!r}")
+        coll.done = True
+        return True
 
 
 @dataclass(frozen=True)
@@ -408,5 +403,8 @@ class RankContext:
 
     def allreduce_sum(self, value: float) -> float:
         """Global sum, accumulated in ascending rank order on every rank."""
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"allreduce_sum takes a real number, "
+                            f"got {type(value).__name__}")
         return self._engine._collective(
             self.rank, "allreduce_sum", float(value), 1, _reduce_allreduce_sum)

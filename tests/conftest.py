@@ -1,8 +1,11 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spmvsim import CsrMatrix, DenseVector, reference_fixture
+from spmvsim import CollectiveEngine, CsrMatrix, DenseVector, reference_fixture
 
 # non-integer floats, so a wrong placement or order cannot hide behind
 # exactly representable integers
@@ -66,3 +69,60 @@ def assert_fixture_equal(a, b, *, include_metadata=True):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     if include_metadata:
         assert a.metadata == b.metadata
+
+
+# every order in which 2, 3 or 4 ranks can arrive: 2 + 6 + 24 = 32
+ARRIVAL_ORDERS = [order for size in (2, 3, 4)
+                  for order in itertools.permutations(range(size))]
+
+
+@pytest.fixture
+def arrival_order(monkeypatch):
+    """Returns a setter for the order in which the ranks of every later
+    parallel run arrive: at each collective, a rank joins it, or returns,
+    only once every rank ahead of it in that order has joined it or
+    returned. Serial runs are left alone, since their baton fixes the
+    order."""
+    order = []
+    joined = {}  # engine -> collectives each rank has joined
+    stalled = []
+    join, finish = CollectiveEngine._collective, CollectiveEngine._finish_rank
+
+    def wait_turn(engine, rank):
+        # under engine._cond; a join that leaves the collective open wakes
+        # nobody, so this polls
+        counts = joined.setdefault(engine, [0] * engine.size)
+        ahead = order[:order.index(rank)]
+        deadline = time.monotonic() + 10
+        while any(counts[r] <= counts[rank] and not engine._finished[r]
+                  for r in ahead):
+            if time.monotonic() > deadline:
+                stalled.append((order[:], rank))
+                break
+            engine._cond.wait(0.0005)
+        return counts
+
+    def ordered_join(engine, rank, *args):
+        if engine.mode == "serial":
+            return join(engine, rank, *args)
+        # the condition's lock is reentrant, so the join happens under the
+        # same hold as the wait, before any rank behind can see the count
+        with engine._cond:
+            wait_turn(engine, rank)[rank] += 1
+            return join(engine, rank, *args)
+
+    def ordered_finish(engine, rank):
+        if engine.mode == "serial":
+            return finish(engine, rank)
+        with engine._cond:
+            wait_turn(engine, rank)
+            return finish(engine, rank)
+
+    monkeypatch.setattr(CollectiveEngine, "_collective", ordered_join)
+    monkeypatch.setattr(CollectiveEngine, "_finish_rank", ordered_finish)
+
+    def arrive(ranks):
+        order[:] = ranks
+
+    yield arrive
+    assert not stalled, f"(order, rank) pairs that waited 10 s: {stalled}"

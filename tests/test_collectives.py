@@ -1,6 +1,7 @@
 """Rendezvous semantics, determinism, misuse detection, and tracing."""
 
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import spmvsim
+from conftest import ARRIVAL_ORDERS
 from spmvsim import (
     MAX_RANKS,
     CollectiveEngine,
@@ -44,6 +46,23 @@ def test_exscan_rank_zero_is_zero():
 def test_exscan_rejects_non_integers():
     with pytest.raises(TypeError):
         CollectiveEngine(2).run(lambda ctx: ctx.exscan_sum(1.5))
+
+
+@pytest.mark.parametrize("value, name", [("1.5", "str"), (None, "NoneType"),
+                                         (1j, "complex")])
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_allreduce_rejects_non_numbers(value, name, mode):
+    # refused before the rendezvous, so no rank joins a collective
+    def program(ctx):
+        try:
+            ctx.allreduce_sum(value)
+        except TypeError as exc:
+            return str(exc)
+
+    engine = CollectiveEngine(2, mode=mode, record_trace=True)
+    assert engine.run(program) == [
+        f"allreduce_sum takes a real number, got {name}"] * 2
+    assert engine.trace.records == []
 
 
 def test_allgather_concatenates_in_rank_order():
@@ -104,11 +123,13 @@ def test_allgatherv_zero_length_blocks():
 
 
 def test_allreduce_sums_in_rank_order():
-    values = [0.25, 1.5, -0.75, 4.0]
+    # 1.0 in rank order, 0.0 in reverse: 1e16 + 1.0 rounds back to 1e16
+    values = [1e16, 1.0, -1e16, 1.0]
     results = CollectiveEngine(4).run(
         lambda ctx: ctx.allreduce_sum(values[ctx.rank]))
-    expected = ((0.25 + 1.5) + -0.75) + 4.0
-    assert results == [expected] * 4
+    assert ((1e16 + 1.0) + -1e16) + 1.0 == 1.0
+    assert ((1.0 + -1e16) + 1.0) + 1e16 == 0.0
+    assert results == [1.0] * 4
 
 
 def test_sequence_mismatch_detected():
@@ -243,6 +264,107 @@ def test_specific_protocol_error_beats_peer_mismatch():
 
     with pytest.raises(UnequalBlockLength, match=r"\[1, 1, 2\]"):
         CollectiveEngine(3).run(program)
+
+
+# summands whose sum in rank order differs from their sum in reverse at 3
+# and 4 ranks; two summands add alike in either order
+SUMMANDS = {2: [0.5, 0.25], 3: [1.0, 1e16, -1e16], 4: [1e16, 1.0, -1e16, 1.0]}
+RANK_ORDER_SUMS = {2: 0.75, 3: 0.0, 4: 1.0}
+
+
+def _every_kind(ctx):
+    # each rank's contribution differs, so any order but rank order shows
+    offset = ctx.exscan_sum(10 ** ctx.rank)
+    gathered = ctx.allgather(np.array([ctx.rank + 0.5]))
+    gathered_v = ctx.allgatherv(np.full(ctx.rank + 1, ctx.rank + 0.25))
+    total = ctx.allreduce_sum(SUMMANDS[ctx.size][ctx.rank])
+    return offset, gathered.tolist(), gathered_v.tolist(), total
+
+
+@pytest.mark.parametrize("order", ARRIVAL_ORDERS, ids=str)
+def test_every_kind_settles_in_rank_order_in_every_arrival_order(
+        arrival_order, order):
+    size = len(order)
+    serial = CollectiveEngine(size, mode="serial", record_trace=True)
+    serial.run(_every_kind)
+    arrival_order(order)
+    engine = CollectiveEngine(size, record_trace=True)
+    gathered = [r + 0.5 for r in range(size)]
+    gathered_v = [r + 0.25 for r in range(size) for _ in range(r + 1)]
+    assert engine.run(_every_kind) == [
+        (sum(10 ** q for q in range(r)), gathered, gathered_v,
+         RANK_ORDER_SUMS[size]) for r in range(size)]
+    assert engine.trace.dump() == serial.trace.dump()
+
+
+def _outcomes(size, program):
+    """Each rank's result, or the class and text of the CollectiveError it
+    raised, and the class and text of what run() raises."""
+    def caught(ctx):
+        try:
+            return program(ctx)
+        except CollectiveError as exc:
+            return type(exc), str(exc)
+
+    per_rank = CollectiveEngine(size).run(caught)
+    try:
+        CollectiveEngine(size).run(program)
+    except CollectiveError as exc:
+        return per_rank, (type(exc), str(exc))
+    return per_rank, None
+
+
+def _two_ops(ctx):
+    if ctx.rank == 0:
+        return ctx.allreduce_sum(1.0)
+    return ctx.allgather(np.array([1.0]))
+
+
+def _three_ops(ctx):
+    if ctx.rank == 0:
+        return ctx.allreduce_sum(1.0)
+    if ctx.rank == 1:
+        return ctx.allgather(np.array([1.0]))
+    return ctx.allgatherv(np.array([1.0]))
+
+
+def _last_rank_deserts(ctx):
+    if ctx.rank < ctx.size - 1:
+        return ctx.allreduce_sum(1.0)
+
+
+def _mismatch_and_desertion(ctx):
+    if ctx.rank < ctx.size - 1:
+        return _two_ops(ctx)
+
+
+def _unequal_blocks(ctx):
+    return ctx.allgather(np.ones(ctx.rank + 1))
+
+
+MISMATCH = (CollectiveMismatch, "collective mismatch at seq 0: rank 1 called "
+            "'allgather' while 'allreduce_sum' is in progress")
+DESERTION = (CollectiveMismatch,
+             "rank(s) [2] finished without joining 'allreduce_sum' at seq 0")
+UNEQUAL = (UnequalBlockLength,
+           "allgather blocks must have equal length, got [1, 2, 3]")
+
+
+@pytest.mark.parametrize("program, size, per_rank, raised", [
+    pytest.param(_two_ops, 2, [MISMATCH] * 2, MISMATCH, id="mismatch-2"),
+    pytest.param(_three_ops, 3, [MISMATCH] * 3, MISMATCH, id="mismatch-3"),
+    pytest.param(_last_rank_deserts, 3, [DESERTION] * 2 + [None], DESERTION,
+                 id="desertion"),
+    # a mismatch outranks a desertion in the same collective
+    pytest.param(_mismatch_and_desertion, 3, [MISMATCH] * 2 + [None],
+                 MISMATCH, id="mismatch-and-desertion"),
+    pytest.param(_unequal_blocks, 3, [UNEQUAL] * 3, UNEQUAL, id="unequal"),
+])
+def test_errors_are_the_same_in_every_arrival_order(arrival_order, program,
+                                                    size, per_rank, raised):
+    for order in itertools.permutations(range(size)):
+        arrival_order(order)
+        assert _outcomes(size, program) == (per_rank, raised), order
 
 
 def _jittery(ctx):

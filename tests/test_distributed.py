@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spmvsim.distributed
-from conftest import NON_INTEGER, spmv_by_row_loop
+from conftest import ARRIVAL_ORDERS, NON_INTEGER, spmv_by_row_loop
 from spmvsim import (
     MAX_RANKS,
     CollectiveError,
@@ -214,6 +214,27 @@ def non_integer(fx):
     fx.values = fx.values * 0.1 + 1 / 3
     fx.x = fx.x / 7
     return with_oracle_z(fx)
+
+
+def off_integral_z(fx):
+    """fx with non-integer values and x, checked against its own integer
+    z, so every rank's residual partial is a non-zero non-integer."""
+    z = fx.z
+    fx = non_integer(fx)
+    fx.z = z
+    return fx
+
+
+@pytest.mark.parametrize("order", ARRIVAL_ORDERS, ids=str)
+def test_runs_are_identical_in_every_arrival_order(arrival_order, order):
+    for fx in (reference_fixture(), off_integral_z(reference_fixture())):
+        serial = run_distributed(fx, len(order), mode="serial")
+        arrival_order(order)
+        run = run_distributed(fx, len(order))
+        assert [y.tobytes() for y in run.per_rank_y] == [
+            y.tobytes() for y in serial.per_rank_y]
+        assert run.residual_sq.hex() == serial.residual_sq.hex()
+        assert run.trace.dump() == serial.trace.dump()
 
 
 @st.composite
