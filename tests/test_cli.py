@@ -421,6 +421,42 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--reference", "--rows", "4", "--out", "{out}"],
+     "--reference cannot be combined with generation parameters"),
+    (["gen", "--rows", "2", "--nnz", "1", "--out", "{out}"],
+     "--rows and --cols are required (or use --reference)"),
+    (["gen", "--rows", "2", "--cols", "2", "--out", "{out}"],
+     "exactly one of --nnz and --row-fill is required"),
+    (["gen", "--rows", "2", "--cols", "2", "--nnz", "1", "--row-fill", "1",
+      "--out", "{out}"],
+     "exactly one of --nnz and --row-fill is required"),
+    (["run", "--fixture", "{ref}", "--mode", "seq", "--ranks", "2"],
+     "--ranks and --trace apply only to --mode dist"),
+    (["run", "--fixture", "{ref}", "--mode", "dist", "--ranks", "0"],
+     f"--ranks must be in 1..{MAX_RANKS}, got 0"),
+    (["run", "--fixture", "{ref}", "--mode", "dist",
+      "--ranks", str(MAX_RANKS + 1)],
+     f"--ranks must be in 1..{MAX_RANKS}, got {MAX_RANKS + 1}"),
+    (["verify", "--fixture", "{ref}", "--ranks-list", "0,2"],
+     f"--ranks-list must name counts in 1..{MAX_RANKS}, got '0,2'"),
+    (["verify", "--fixture", "{ref}", "--ranks-list", ","],
+     f"--ranks-list must name counts in 1..{MAX_RANKS}, got ','"),
+    (["convert", "--in", "{ref}", "--out", "{out}", "--format", "fixture",
+      "--x-seed", "5"],
+     "--x and --x-seed apply only to Matrix Market input"),
+], ids=["gen-reference", "gen-rows-cols", "gen-no-density",
+        "gen-two-densities", "run-seq-ranks", "run-ranks-low",
+        "run-ranks-high", "verify-ranks-low", "verify-ranks-empty",
+        "convert-x-seed"])
+def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv,
+                                             message):
+    ref, out = write_ref(tmp_path), tmp_path / "out.fx"
+    assert main([a.format(ref=ref, out=out) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 # sha256 of stdout on the reference fixture; a change to any of these bytes
 # is a change to the program's observable output
 GOLDEN_STDOUT = {
