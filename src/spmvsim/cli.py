@@ -58,19 +58,15 @@ def cmd_gen(args) -> int:
         conflicting = [args.rows, args.cols, args.nnz, args.row_fill,
                        args.seed, args.value_range, args.x_range]
         if any(v is not None for v in conflicting):
-            print("error: --reference cannot be combined with generation "
-                  "parameters", file=sys.stderr)
-            return 2
+            raise ValueError("--reference cannot be combined with generation "
+                             "parameters")
         fixture = reference_fixture()
     else:
         if args.rows is None or args.cols is None:
-            print("error: --rows and --cols are required (or use --reference)",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--rows and --cols are required (or use "
+                             "--reference)")
         if (args.nnz is None) == (args.row_fill is None):
-            print("error: exactly one of --nnz and --row-fill is required",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("exactly one of --nnz and --row-fill is required")
         params = GenParams(M=args.rows, N=args.cols, target_nnz=args.nnz,
                            row_fill=args.row_fill,
                            value_range=_parse_range("--value-range",
@@ -87,14 +83,10 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     if args.mode == "seq" and (args.ranks is not None or args.trace):
-        print("error: --ranks and --trace apply only to --mode dist",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--ranks and --trace apply only to --mode dist")
     ranks = 1 if args.ranks is None else args.ranks
     if not 1 <= ranks <= MAX_RANKS:
-        print(f"error: --ranks must be in 1..{MAX_RANKS}, got {ranks}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--ranks must be in 1..{MAX_RANKS}, got {ranks}")
     # the run itself is the judge of the stored product, so load without
     # the reader's own ground-truth check
     fixture = read_fixture(args.fixture, check_ground_truth=False)
@@ -121,9 +113,8 @@ def cmd_verify(args) -> int:
                      if args.col_sizes else None)
     ranks = _parse_int_list("--ranks-list", args.ranks_list)
     if not ranks or any(not 1 <= k <= MAX_RANKS for k in ranks):
-        print(f"error: --ranks-list must name counts in 1..{MAX_RANKS}, got "
-              f"{args.ranks_list!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--ranks-list must name counts in 1..{MAX_RANKS}, "
+                         f"got {args.ranks_list!r}")
     sections = verify_fixture(fixture, ranks, explicit_rows, explicit_cols)
     all_ok = all(report.overall for _, report in sections)
     if args.json:
@@ -153,9 +144,8 @@ def cmd_convert(args) -> int:
     src_format = _sniff_format(args.infile)
     if src_format == "fixture":
         if args.x is not None or args.x_seed is not None:
-            print("error: --x and --x-seed apply only to Matrix Market input",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--x and --x-seed apply only to Matrix Market "
+                             "input")
         fixture = read_fixture(args.infile)
     else:
         fixture = import_matrix_market(args.infile, x_source=args.x,

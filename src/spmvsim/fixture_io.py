@@ -50,7 +50,6 @@ in file order is reported, with the number of the line that holds it.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -463,19 +462,12 @@ def _mm_body(source) -> tuple[str, str, int, str]:
     raise FixtureFormatError(f"{source}: missing size line")
 
 
-def _kept_lines(text: str) -> list[str]:
-    """The lines of text that are neither blank nor a % comment, stripped."""
-    return [line for raw in text.splitlines()
+def _kept_lines(text: str, lineno: int) -> list[tuple[int, str]]:
+    """Each line of text that is neither blank nor a % comment, stripped,
+    with its number, where text's first line is line lineno."""
+    return [(number, line)
+            for number, raw in enumerate(text.splitlines(), lineno)
             if (line := raw.strip()) and line[0] != "%"]
-
-
-def _bad_line(source, text: str, lineno: int, k: int,
-              exc: ValueError) -> FixtureFormatError:
-    """exc as the error of the line _kept_lines(text)[k] came from, where
-    text's first line is line lineno; a walk of its own finds it."""
-    kept = (number for number, raw in enumerate(text.splitlines(), lineno)
-            if _kept_lines(raw))
-    return FixtureFormatError(f"{source}: {exc}", next(islice(kept, k, None)))
 
 
 def _read_mm_x(source, expected_n: int) -> np.ndarray:
@@ -496,16 +488,16 @@ def _read_mm_x(source, expected_n: int) -> np.ndarray:
         return parsed[0]
     # the count is checked first: it is reported ahead of any bad line, and
     # no array is sized from n before the text bears it out
-    lines = _kept_lines(text)
+    lines = _kept_lines(text, lineno + 1)
     if len(lines) != n:
         raise FixtureFormatError(
             f"{source}: expected {n} vector entries, got {len(lines)}")
     x = np.empty(n, dtype=np.float64)
     try:
-        for k, line in enumerate(lines):
+        for k, (number, line) in enumerate(lines):
             x[k] = float(line)
     except ValueError as exc:
-        raise _bad_line(source, text, lineno + 1, k, exc) from None
+        raise FixtureFormatError(f"{source}: {exc}", number) from None
     return x
 
 
@@ -522,7 +514,7 @@ def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
             rows -= 1
             cols -= 1
             return rows, cols, vals
-    lines = _kept_lines(text)  # counted first, as in _read_mm_x
+    lines = _kept_lines(text, lineno + 1)  # counted first, as in _read_mm_x
     if len(lines) != nnz:
         raise FixtureFormatError(
             f"{source}: expected {nnz} entries, got {len(lines)}")
@@ -530,7 +522,7 @@ def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
     try:
-        for k, line in enumerate(lines):
+        for k, (number, line) in enumerate(lines):
             tokens = line.split()
             if len(tokens) != 3:
                 raise ValueError(
@@ -541,7 +533,7 @@ def _mm_entries(source, text: str, lineno: int, M: int, N: int, nnz: int):
                 raise ValueError(f"entry ({r}, {c}) outside 1..{M} x 1..{N}")
             rows[k], cols[k] = r - 1, c - 1
     except ValueError as exc:
-        raise _bad_line(source, text, lineno + 1, k, exc) from None
+        raise FixtureFormatError(f"{source}: {exc}", number) from None
     return rows, cols, vals
 
 

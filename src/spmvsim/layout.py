@@ -17,8 +17,7 @@ import numpy as np
 from .collectives import exclusive_prefix_sums
 from .core import CsrMatrix, _read_only
 
-__all__ = ["Layout", "LayoutSumMismatch", "block_local_size", "build_layout",
-           "extract_local"]
+__all__ = ["Layout", "LayoutSumMismatch", "build_layout", "extract_local"]
 
 
 class LayoutSumMismatch(ValueError):
@@ -45,17 +44,6 @@ class Layout:
         return self.starts[rank], self.starts[rank] + self.local_sizes[rank]
 
 
-def block_local_size(total: int, size: int, rank: int) -> int:
-    """Number of indices rank owns under the default block distribution."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if not 0 <= rank < size:
-        raise ValueError(f"rank {rank} out of range [0, {size})")
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    return total // size + (1 if total % size > rank else 0)
-
-
 def build_layout(total: int, size: int, explicit_local_sizes=None) -> Layout:
     """Build the per-rank layout of one dimension.
 
@@ -68,7 +56,7 @@ def build_layout(total: int, size: int, explicit_local_sizes=None) -> Layout:
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
     if explicit_local_sizes is None:
-        sizes = tuple(block_local_size(total, size, r) for r in range(size))
+        sizes = tuple(total // size + (r < total % size) for r in range(size))
         explicit = False
     else:
         given = tuple(explicit_local_sizes)

@@ -17,7 +17,6 @@ from spmvsim import (
     CollectiveEngine,
     GatherPath,
     GenParams,
-    block_local_size,
     build_layout,
     check_pass,
     dense_from_csr,
@@ -94,7 +93,7 @@ def test_criterion_3_layout_obligations_exhaustive():
     t0 = time.perf_counter()
     for total in range(0, 201):
         for size in range(1, 17):
-            sizes = [block_local_size(total, size, r) for r in range(size)]
+            sizes = [total // size + (r < total % size) for r in range(size)]
             assert sum(sizes) == total, (total, size)
             assert max(sizes) - min(sizes) <= 1, (total, size)
             layout = build_layout(total, size)

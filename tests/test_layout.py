@@ -11,7 +11,6 @@ from spmvsim import (
     CollectiveEngine,
     GenParams,
     LayoutSumMismatch,
-    block_local_size,
     build_layout,
     extract_local,
     generate,
@@ -22,28 +21,19 @@ from spmvsim import (
 
 
 def test_block_sizes_32_over_3():
-    assert [block_local_size(32, 3, r) for r in range(3)] == [11, 11, 10]
+    assert build_layout(32, 3).local_sizes == (11, 11, 10)
 
 
 def test_block_sizes_36_over_5():
-    assert [block_local_size(36, 5, r) for r in range(5)] == [8, 7, 7, 7, 7]
+    assert build_layout(36, 5).local_sizes == (8, 7, 7, 7, 7)
 
 
 def test_block_sizes_even_split():
-    assert [block_local_size(36, 3, r) for r in range(3)] == [12, 12, 12]
+    assert build_layout(36, 3).local_sizes == (12, 12, 12)
 
 
 def test_block_sizes_more_ranks_than_rows():
-    assert [block_local_size(4, 6, r) for r in range(6)] == [1, 1, 1, 1, 0, 0]
-
-
-def test_block_size_argument_checks():
-    with pytest.raises(ValueError):
-        block_local_size(10, 0, 0)
-    with pytest.raises(ValueError):
-        block_local_size(10, 2, 2)
-    with pytest.raises(ValueError):
-        block_local_size(-1, 2, 0)
+    assert build_layout(4, 6).local_sizes == (1, 1, 1, 1, 0, 0)
 
 
 def test_build_layout_default_starts():
@@ -111,7 +101,7 @@ def test_local_range():
 
 @given(total=st.integers(0, 500), size=st.integers(1, 32))
 def test_block_sizes_sum_and_balance(total, size):
-    sizes = [block_local_size(total, size, r) for r in range(size)]
+    sizes = list(build_layout(total, size).local_sizes)
     assert sum(sizes) == total
     assert max(sizes) - min(sizes) <= 1
     # remainder goes to the lowest ranks, so sizes never increase

@@ -447,9 +447,15 @@ def rank_residual_zero(monkeypatch, fx):
 
 
 def remainder_to_high_ranks(monkeypatch, fx):
-    monkeypatch.setattr(
-        spmvsim.layout, "block_local_size",
-        lambda total, size, rank: total // size + (rank >= size - total % size))
+    def high_ranks(total, size, explicit_local_sizes=None):
+        if explicit_local_sizes is not None:
+            return build_layout(total, size, explicit_local_sizes)
+        sizes = [total // size + (r >= size - total % size)
+                 for r in range(size)]
+        return dataclasses.replace(build_layout(total, size, sizes),
+                                   explicit=False)
+
+    patch_bindings(monkeypatch, build_layout, high_ranks)
 
 
 def reversed_allgather(monkeypatch, fx):
