@@ -11,6 +11,7 @@ z_vector() build their containers over core._read_only views of its arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +29,24 @@ class InvalidGenParams(ValueError):
     """Generation parameters are inconsistent or infeasible."""
 
 
+def _require_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidGenParams(
+            f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class GenParams:
     """Parameters for random fixture generation.
 
     Exactly one of target_nnz (total entry budget) and row_fill (maximum
     entries per row) must be set. Value ranges are inclusive integer bounds
-    and must stay positive so generated data is exactly representable.
+    and must stay positive so generated data is exactly representable. Every
+    field set is an integer (operator.index takes it), the seed is
+    nonnegative, and a range bound is at most 2**63 - 1 (it is drawn as
+    int64).
     """
 
     M: int
@@ -46,6 +58,12 @@ class GenParams:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("M", "N", "target_nnz", "row_fill", "seed"):
+            value = getattr(self, name)
+            if value is not None or name in ("M", "N", "seed"):
+                _require_integer(name, value)
+        if self.seed < 0:
+            raise InvalidGenParams(f"seed must be >= 0, got {self.seed}")
         if self.M < 1 or self.N < 1:
             raise InvalidGenParams(f"matrix extents must be >= 1, got "
                                    f"M={self.M} N={self.N}")
@@ -65,9 +83,14 @@ class GenParams:
             raise InvalidGenParams(f"row_fill must be >= 0, got {self.row_fill}")
         for name, (lo, hi) in (("value_range", self.value_range),
                                ("x_range", self.x_range)):
+            _require_integer(f"{name} bound", lo)
+            _require_integer(f"{name} bound", hi)
             if lo < 1 or hi < lo:
                 raise InvalidGenParams(
                     f"{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
+            if hi >= 2**63:
+                raise InvalidGenParams(
+                    f"{name} must satisfy hi <= 2**63 - 1, got ({lo}, {hi})")
 
 
 @dataclass

@@ -431,6 +431,12 @@ def test_unknown_subcommand_exits_2():
     (["gen", "--rows", "2", "--cols", "2", "--nnz", "1", "--row-fill", "1",
       "--out", "{out}"],
      "exactly one of --nnz and --row-fill is required"),
+    (["gen", "--rows", "2", "--cols", "2", "--nnz", "1", "--seed", "-1",
+      "--out", "{out}"],
+     "seed must be >= 0, got -1"),
+    (["gen", "--rows", "2", "--cols", "2", "--nnz", "1",
+      "--x-range", "1:99999999999999999999", "--out", "{out}"],
+     "x_range must satisfy hi <= 2**63 - 1, got (1, 99999999999999999999)"),
     (["run", "--fixture", "{ref}", "--mode", "seq", "--ranks", "2"],
      "--ranks and --trace apply only to --mode dist"),
     (["run", "--fixture", "{ref}", "--mode", "dist", "--ranks", "0"],
@@ -446,7 +452,7 @@ def test_unknown_subcommand_exits_2():
       "--x-seed", "5"],
      "--x and --x-seed apply only to Matrix Market input"),
 ], ids=["gen-reference", "gen-rows-cols", "gen-no-density",
-        "gen-two-densities", "run-seq-ranks", "run-ranks-low",
+        "gen-two-densities", "gen-seed", "gen-x-range", "run-seq-ranks", "run-ranks-low",
         "run-ranks-high", "verify-ranks-low", "verify-ranks-empty",
         "convert-x-seed"])
 def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv,

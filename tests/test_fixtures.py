@@ -179,6 +179,42 @@ def test_bad_extents_rejected():
         generate(GenParams(M=0, N=4, target_nnz=0))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(M=3.5), "M must be an integer, got 3.5"),
+    (dict(N="4"), "N must be an integer, got '4'"),
+    (dict(target_nnz=2.5, row_fill=None), "target_nnz must be an integer, "
+                                          "got 2.5"),
+    (dict(row_fill=2.5), "row_fill must be an integer, got 2.5"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(seed=None), "seed must be an integer, got None"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(value_range=(1.5, 3)), "value_range bound must be an integer, "
+                                 "got 1.5"),
+    (dict(x_range=(1, 9.0)), "x_range bound must be an integer, got 9.0"),
+    (dict(value_range=(1, 2**63)), "value_range must satisfy hi <= 2**63 - 1, "
+                                   "got (1, 9223372036854775808)"),
+    (dict(x_range=(1, 10**20)), "x_range must satisfy hi <= 2**63 - 1, "
+                                "got (1, 100000000000000000000)"),
+], ids=["M", "N", "target_nnz", "row_fill", "seed-float", "seed-none",
+        "seed-negative", "value_range-float", "x_range-float",
+        "value_range-2**63", "x_range-10**20"])
+def test_bad_generation_inputs_name_their_field(kwargs, message):
+    # each would otherwise be recorded as given, or fail inside NumPy with
+    # a message that names no field
+    params = GenParams(**{"M": 3, "N": 4, "row_fill": 2, **kwargs})
+    with pytest.raises(InvalidGenParams) as exc:
+        generate(params)
+    assert str(exc.value) == message
+
+
+def test_range_bounds_reach_int64_max():
+    top = 2**63 - 1
+    fx = generate(GenParams(M=2, N=2, row_fill=2, value_range=(top, top),
+                            x_range=(top, top)))
+    assert fx.metadata["value_range"] == f"{top}..{top}"
+    assert fx.x.tolist() == [float(top)] * 2
+
+
 def test_metadata_records_generation_inputs():
     fx = generate(GenParams(M=6, N=8, row_fill=2, seed=42))
     assert fx.metadata["rng"] == RNG_NAME
