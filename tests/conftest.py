@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -55,6 +56,32 @@ def spmv_by_row_loop(mat, x):
             acc += av[p] * xs[cj[p]]
         out[i] = acc
     return out
+
+
+def two_products(a, b):
+    """Each product a[i] * b[i] as p[i] + e[i] exactly, p the rounded
+    product: Dekker's TwoProduct over Veltkamp's split, vectorised. Exact
+    while no product, split part or error term overflows or underflows."""
+    p = a * b
+    (ah, al), (bh, bl) = _veltkamp_split(a), _veltkamp_split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _veltkamp_split(a):
+    """a as hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def spmv_exact(mat, x):
+    """Each row of the real-number product A x rounded once to nearest:
+    math.fsum of the row's exact products, given as their p and e parts,
+    within the scope of two_products."""
+    p, e = two_products(mat.values, x.values[mat.col_idx])
+    rp = mat.row_ptr.tolist()
+    return np.array([math.fsum([*p[lo:hi], *e[lo:hi]])
+                     for lo, hi in zip(rp[:-1], rp[1:])], dtype=np.float64)
 
 
 @pytest.fixture

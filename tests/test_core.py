@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import spmvsim.core
 from conftest import (NON_INTEGER, csr_matrices, order_sensitive_row,
-                      spmv_by_row_loop)
+                      spmv_by_row_loop, spmv_exact, two_products)
 from spmvsim import (
     CsrMatrix,
     DenseVector,
@@ -306,6 +308,74 @@ ROWS = 32
 def test_kernel_equals_row_loop(case):
     mat, x = case
     assert spmv_seq(mat, x).values.tobytes() == spmv_by_row_loop(mat, x).tobytes()
+
+
+@st.composite
+def scaled_products(draw):
+    """Up to 8 canonical rows of up to 40 entries, and x. NumPy, seeded by
+    the draw, picks each row's columns and the values and x: non-integers
+    of both signs with magnitudes in [2**-spread, 2**(spread + 1)), spread
+    at most 40. Products, their error terms and every row sum then stay far
+    from overflow and underflow, the scope in which two_products is exact
+    and the summation bound below holds."""
+    n = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(0, n), min_size=1, max_size=8))
+    spread = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def scaled(size):
+        v = np.ldexp(rng.uniform(1, 2, size) * rng.choice([-1.0, 1.0], size),
+                     rng.integers(-spread, spread + 1, size))
+        return np.where(v == np.trunc(v), v + 0.5, v)
+
+    col_idx = np.concatenate(
+        [np.sort(rng.choice(n, k, replace=False)) for k in lengths])
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    return (CsrMatrix.sequential(row_ptr, col_idx, scaled(len(col_idx)),
+                                 n=n),
+            DenseVector.sequential(scaled(n)))
+
+
+U = Fraction(1, 2**53)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scaled_products())
+def test_kernel_is_within_the_summation_bound_of_the_exact_product(case):
+    # a sum of n products in any order is within gamma_n * sum |a_i x_i| of
+    # the exact sum, gamma_n = n u / (1 - n u) (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 3.1); the reference adds half its
+    # own ulp, and the bound's sum, rounded once by fsum, is scaled by 1 + u.
+    # Both sides are compared as rationals.
+    mat, x = case
+    y = spmv_seq(mat, x).values.tolist()
+    exact = spmv_exact(mat, x).tolist()
+    p, e = two_products(mat.values, x.values[mat.col_idx])
+    abs_e = np.sign(p) * e  # |p + e| is |p| + sign(p) e, as |e| < |p|
+    rp = mat.row_ptr.tolist()
+    for i, (lo, hi) in enumerate(zip(rp[:-1], rp[1:])):
+        n = hi - lo
+        magnitude = math.fsum([*np.abs(p[lo:hi]), *abs_e[lo:hi]])
+        bound = (n * U / (1 - n * U) * Fraction(magnitude) * (1 + U)
+                 + Fraction(math.ulp(exact[i])) / 2)
+        assert abs(Fraction(y[i]) - Fraction(exact[i])) <= bound, i
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scaled_products())
+def test_exact_reference_equals_fractions(case):
+    mat, x = case
+    a, b = mat.values, x.values[mat.col_idx]
+    products = [Fraction(v) * Fraction(w)
+                for v, w in zip(a.tolist(), b.tolist())]
+    p, e = two_products(a, b)
+    assert [Fraction(v) + Fraction(w)
+            for v, w in zip(p.tolist(), e.tolist())] == products
+    rp = mat.row_ptr.tolist()
+    # float() of a Fraction rounds once to nearest, as fsum does
+    assert spmv_exact(mat, x).tolist() == [
+        float(sum(products[lo:hi], Fraction(0)))
+        for lo, hi in zip(rp[:-1], rp[1:])]
 
 
 def test_kernel_equals_row_loop_across_blocks(monkeypatch):
