@@ -452,9 +452,9 @@ def test_unknown_subcommand_exits_2():
       "--x-seed", "5"],
      "--x and --x-seed apply only to Matrix Market input"),
 ], ids=["gen-reference", "gen-rows-cols", "gen-no-density",
-        "gen-two-densities", "gen-seed", "gen-x-range", "run-seq-ranks", "run-ranks-low",
-        "run-ranks-high", "verify-ranks-low", "verify-ranks-empty",
-        "convert-x-seed"])
+        "gen-two-densities", "gen-seed", "gen-x-range", "run-seq-ranks",
+        "run-ranks-low", "run-ranks-high", "verify-ranks-low",
+        "verify-ranks-empty", "convert-x-seed"])
 def test_every_refusal_prints_one_error_line(tmp_path, capsys, argv,
                                              message):
     ref, out = write_ref(tmp_path), tmp_path / "out.fx"

@@ -326,7 +326,7 @@ def scaled_products(draw):
     def scaled(size):
         v = np.ldexp(rng.uniform(1, 2, size) * rng.choice([-1.0, 1.0], size),
                      rng.integers(-spread, spread + 1, size))
-        return np.where(v == np.trunc(v), v + 0.5, v)
+        return np.where(v == np.trunc(v), v + np.copysign(0.5, v), v)
 
     col_idx = np.concatenate(
         [np.sort(rng.choice(n, k, replace=False)) for k in lengths])
@@ -351,11 +351,11 @@ def test_kernel_is_within_the_summation_bound_of_the_exact_product(case):
     y = spmv_seq(mat, x).values.tolist()
     exact = spmv_exact(mat, x).tolist()
     p, e = two_products(mat.values, x.values[mat.col_idx])
-    abs_e = np.sign(p) * e  # |p + e| is |p| + sign(p) e, as |e| < |p|
+    e_along_p = np.sign(p) * e  # |p + e| = |p| + sign(p) e, as |e| < |p|
     rp = mat.row_ptr.tolist()
     for i, (lo, hi) in enumerate(zip(rp[:-1], rp[1:])):
         n = hi - lo
-        magnitude = math.fsum([*np.abs(p[lo:hi]), *abs_e[lo:hi]])
+        magnitude = math.fsum([*np.abs(p[lo:hi]), *e_along_p[lo:hi]])
         bound = (n * U / (1 - n * U) * Fraction(magnitude) * (1 + U)
                  + Fraction(math.ulp(exact[i])) / 2)
         assert abs(Fraction(y[i]) - Fraction(exact[i])) <= bound, i
